@@ -9,6 +9,7 @@ from .brandt import CheckReport, brandt, prime_power_index
 from .fields import PrimeIdeal
 from .linalg import rank_and_pivots_int
 from .orders import ClassSet
+from .quaternions import _legendre
 from .theta import ThetaSeries, theta_difference
 
 
@@ -87,19 +88,12 @@ def classical_dimension(p: int) -> int:
     if p == 2:
         nu2, nu3 = 1, 0
     else:
-        nu2 = 1 + _kronecker(-1, p)
-        nu3 = 1 if p == 3 else 1 + _kronecker(-3, p)
+        nu2 = 1 + _legendre(-1, p)
+        nu3 = 1 if p == 3 else 1 + _legendre(-3, p)
     ninf = 2
     g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(ninf, 2)
     assert g.denominator == 1
     return int(g)
-
-
-def _kronecker(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def hecke_stability(

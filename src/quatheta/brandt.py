@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import sympy
-
 from .errors import CoefficientOutOfRange
 from .fields import AlgebraicInteger, PrimeIdeal, canonical_positive_associate
 from .orders import ClassSet
@@ -30,6 +28,8 @@ class BrandtMatrix:
 
     def charpoly(self) -> list[int]:
         """Coefficients of the characteristic polynomial, leading first."""
+        import sympy  # deferred: it is most of the package's import time
+
         x = sympy.Symbol("x")
         M = sympy.Matrix(self.size, self.size, lambda i, j: self.entries[i][j])
         poly = M.charpoly(x)
@@ -190,6 +190,8 @@ def cuspidal_eigenvalues(classes: ClassSet, thetas, prime: PrimeIdeal) -> list[E
     Rational roots are exact; the rest come as isolation intervals from the
     square-free factorization over Q.
     """
+    import sympy
+
     M = brandt(classes, thetas, prime_power_index(prime, 1))
     x = sympy.Symbol("x")
     coeffs = M.charpoly()

@@ -6,7 +6,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +29,7 @@ from .orders import (
     mass_formula,
     standard_order,
 )
-from .quadmod import gram_and_level, hom_module
+from .quadmod import gram_and_level, hom_modules
 from .quaternions import construct, verify_ramification
 from .theta import theta_matrix
 
@@ -142,7 +144,11 @@ def cache_store(cfg: RunConfig, order: Order, classes: ClassSet) -> None:
     path = Path(cfg.cache_dir)
     path.mkdir(parents=True, exist_ok=True)
     target = path / f"classes_{_cache_key(cfg, classes.aux_prime)}.json"
-    target.write_text(json.dumps(_serialize_classes(order, classes), sort_keys=True))
+    text = json.dumps(_serialize_classes(order, classes), sort_keys=True)
+    # readers never see a half-written entry: write a temp file, then rename it
+    with tempfile.NamedTemporaryFile("w", dir=path, prefix=target.stem, suffix=".tmp", delete=False) as fh:
+        fh.write(text)
+    os.replace(fh.name, target)
 
 
 def _default_hecke(fld, p: int, bound: int) -> list:
@@ -189,10 +195,7 @@ def run(cfg: RunConfig) -> dict:
 
     t0 = time.monotonic()
     H = classes.size
-    mods = [
-        [hom_module(classes.ideals[i], classes.ideals[j], i, j) for j in range(H)]
-        for i in range(H)
-    ]
+    mods = hom_modules(classes.ideals)
     levels = []
     for i in range(H):
         for j in range(H):
@@ -210,15 +213,16 @@ def run(cfg: RunConfig) -> dict:
     timings["hom_modules"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    thetas = theta_matrix(classes, cfg.bound, workers=cfg.workers)
+    thetas = theta_matrix(mods, cfg.bound, workers=cfg.workers)
     timings["theta"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     if cfg.hecke_primes:
-        hecke = []
+        by_generator = {}  # a prime requested twice is checked once
         for ell in cfg.hecke_primes:
-            hecke.extend(primes_above(fld, ell))
-        hecke = [P for P in hecke if prime_power_index(P, 1).trace() <= cfg.bound]
+            for P in primes_above(fld, ell):
+                by_generator.setdefault(P.generator.coords(), P)
+        hecke = [P for P in by_generator.values() if prime_power_index(P, 1).trace() <= cfg.bound]
     else:
         hecke = _default_hecke(fld, cfg.p, cfg.bound)
     suite = hecke_property_suite(classes, thetas, hecke, cfg.bound)

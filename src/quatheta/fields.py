@@ -321,11 +321,6 @@ class FieldElement:
         return (Fraction(self.num.a, self.den), Fraction(self.num.b, self.den))
 
 
-def is_totally_positive(x) -> bool:
-    """Strict total positivity of an AlgebraicInteger or FieldElement."""
-    return x.is_totally_positive()
-
-
 def exact_div(x: AlgebraicInteger, y: AlgebraicInteger) -> AlgebraicInteger:
     """x / y when y divides x in O_L; raises otherwise."""
     q = x.to_element() / y.to_element()
@@ -565,9 +560,6 @@ class ResidueField:
             (x[0] * y[0] - self._wn * bb) % ell,
             (x[0] * y[1] + x[1] * y[0] + self._wt * bb) % ell,
         )
-
-    def scal(self, c: int, x):
-        return ((c * x[0]) % self.ell, (c * x[1]) % self.ell)
 
     def inv(self, x):
         if x == self.zero:

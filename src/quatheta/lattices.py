@@ -251,19 +251,11 @@ class QuaternionLattice:
 
     # -- invariants ----------------------------------------------------------
 
-    def trd_gram(self) -> list[list[FieldElement]]:
-        """Gram matrix of (x, y) -> Trd(x * conj(y)) on the O_L-basis."""
-        bs = self.basis()
-        return [[(x * y.conjugate()).reduced_trace() for y in bs] for x in bs]
-
     def det_pairing(self) -> FieldElement:
         """Determinant of the Trd(x * y) pairing; its ideal is the squared reduced discriminant."""
         bs = self.basis()
         rows = [[(x * y).reduced_trace() for y in bs] for x in bs]
         return det_generic(rows, self.algebra.field.element(0))
-
-    def det_gram(self) -> FieldElement:
-        return det_generic(self.trd_gram(), self.algebra.field.element(0))
 
     def multiplier_lattice(self, side: str) -> QuaternionLattice:
         """{x : x*L <= L} for side='left', {x : L*x <= L} for side='right'."""

@@ -22,14 +22,14 @@ from .fields import (
     divides,
     enumerate_totally_positive,
     exact_div,
-    field_gcd,
     is_associate,
     primes_above,
 )
 from .lattices import QuaternionLattice
 from .linalg import residue_nullspace, residue_rowreduce
+from .quadmod import degree_module, hom_module, norm_gcd, small_norm_elements
 from .quaternions import QuaternionAlgebra, QuaternionElement, verify_ramification
-from .shortvec import short_vectors
+from .shortvec import short_vectors  # noqa: F401  (unused; perfbench/test_perfbench.py reads this binding)
 
 
 class Order:
@@ -132,20 +132,11 @@ def right_order(lat: QuaternionLattice) -> Order:
 # Reduced norms of ideals
 
 
-_COEFF_SETS_1 = [(0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2)]
-_COEFF_SETS_2 = [
-    ((0, 0), (1, 0), (0, 1), (1, 1)),
-    ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)),
-    tuple((a, b) for a in (-2, -1, 0, 1, 2) for b in (-2, -1, 0, 1, 2)),
-]
-
-
 def ideal_norm(lat: QuaternionLattice, order: "Order | None" = None) -> AlgebraicInteger:
     """Canonical totally positive generator of the ideal generated by all Nrd values.
 
-    Accumulates a gcd of reduced norms over a small coefficient box; the
-    4th-root of the Gram determinant ratio certifies completeness, so the
-    box is enlarged until the certificate is met.
+    The 4th root of the determinant ratio to the right order certifies
+    completeness of the gcd that norm_gcd accumulates.
     """
     fld = lat.algebra.field
     det = lat.det_pairing()
@@ -161,31 +152,7 @@ def ideal_norm(lat: QuaternionLattice, order: "Order | None" = None) -> Algebrai
     t = isqrt(isqrt(nval))
     if t ** 4 != nval:
         raise ValueError("determinant ratio is not a fourth power")
-    bs = lat.basis()
-    sets = _COEFF_SETS_1 if fld.degree == 1 else _COEFF_SETS_2
-    for coeffs in sets:
-        g = fld.zero
-        for combo in itertools.product(coeffs, repeat=4):
-            if not any(c != 0 and c != (0, 0) for c in combo):
-                continue
-            x = None
-            for c, b in zip(combo, bs):
-                if fld.degree == 1:
-                    if c == 0:
-                        continue
-                    term = b.scale(fld.element(c))
-                else:
-                    if c == (0, 0):
-                        continue
-                    term = b.scale(fld.element(c[0], c[1]))
-                x = term if x is None else x + term
-            nr = x.reduced_norm()
-            if not nr.is_integral():
-                raise ValueError("ideal is not integral enough for norm gcd")
-            g = field_gcd(g, nr.to_integer())
-            if abs(g.norm()) == t:
-                return canonical_positive_associate(g)
-    raise ValueError("norm gcd did not reach the determinant certificate")
+    return norm_gcd(lat, t)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +192,13 @@ class ResidueAlgebra:
 
     def elements(self):
         return itertools.product(self.F.elements(), repeat=4)
+
+    def first_idempotent(self):
+        """The first x != 0, 1 with x*x = x in elements() order, or None."""
+        for x in self.elements():
+            if x != self.zero and x != self.one and self.mul(x, x) == x:
+                return x
+        return None
 
     def is_nilpotent(self, x) -> bool:
         y = self.mul(x, x)
@@ -286,13 +260,7 @@ def _idempotent_enlarge(order: Order, prime: PrimeIdeal) -> Order | None:
     maximal orders into one of them.
     """
     A = ResidueAlgebra(order, prime)
-    idem = None
-    for x in A.elements():
-        if x == A.zero or x == A.one:
-            continue
-        if A.mul(x, x) == x:
-            idem = x
-            break
+    idem = A.first_idempotent()
     if idem is None:
         return None
     rad = _radical_basis(A)
@@ -401,42 +369,11 @@ def unit_weight(order: Order) -> int:
 
     Every totally positive unit of O_L is a square under the narrow-class-
     number-one certificate, so scaling by units of O_L moves any unit of O
-    onto one of reduced norm exactly 1.
+    onto one of reduced norm exactly 1, inside the ball Tr Nrd <= g.
     """
     fld = order.algebra.field
-    zb = order.lattice.z_basis()
-    gram = _trace_gram(order.lattice, fld.one)
-    count = 0
-    for vec in short_vectors(gram, 2 * fld.degree):
-        x = _combination(zb, vec)
-        if x.reduced_norm() == fld.one:
-            count += 1
-    return count
-
-
-def _trace_gram(lat: QuaternionLattice, normalizer: AlgebraicInteger) -> list[list[int]]:
-    """Integer Gram of (x, y) -> Tr_{L/Q}(Trd(x conj(y)) / n) on the Z-structure."""
-    zb = lat.z_basis()
-    rows = []
-    for x in zb:
-        row = []
-        for y in zb:
-            v = (x * y.conjugate()).reduced_trace() / normalizer.to_element()
-            if not v.is_integral():
-                raise ValueError("trace form is not integral for this normalizer")
-            row.append(v.to_integer().trace())
-        rows.append(row)
-    return rows
-
-
-def _combination(zb, vec) -> QuaternionElement:
-    out = None
-    for c, b in zip(vec, zb):
-        if c == 0:
-            continue
-        term = b.scale(c)
-        out = term if out is None else out + term
-    return out
+    mod = degree_module(order.lattice, fld.one)
+    return sum(1 for _, q in small_norm_elements(mod, fld.degree) if q == fld.one)
 
 
 def mass_formula(order: Order) -> Fraction:
@@ -476,13 +413,7 @@ def _splitting_data(order: Order, prime: PrimeIdeal):
     """An isomorphism O/qO = M_2(F) described by the action on a rank-2 module."""
     A = ResidueAlgebra(order, prime)
     F = A.F
-    idem = None
-    for x in A.elements():
-        if x == A.zero or x == A.one:
-            continue
-        if A.mul(x, x) == x:
-            idem = x
-            break
+    idem = A.first_idempotent()
     if idem is None:
         raise BadPrime(f"O/{prime!r}O has no nontrivial idempotent; prime not split in the order")
     basis_imgs = [tuple(F.one if m == n else F.zero for n in range(4)) for m in range(4)]
@@ -544,69 +475,16 @@ def neighbors(ideal: LeftIdeal, prime: PrimeIdeal) -> list[LeftIdeal]:
     return out
 
 
-def _hom_lattice_norm(K: QuaternionLattice, order_disc: AlgebraicInteger) -> AlgebraicInteger:
-    """Reduced norm of a product lattice conj(J)*I, certified by determinants."""
-    fld = K.algebra.field
-    det = K.det_pairing()
-    dn = det.norm() if fld.degree == 2 else det.coords()[0]
-    # |N(det(K))| = N(norm)^4 * N(disc)^2
-    nval = abs(dn.numerator)
-    if dn.denominator != 1:
-        raise ValueError("non-integral product lattice determinant")
-    base = nval // (order_disc.norm() ** 2)
-    if base * (order_disc.norm() ** 2) != nval:
-        raise ValueError("determinant certificate failed")
-    t = isqrt(isqrt(base))
-    if t ** 4 != base:
-        raise ValueError("determinant ratio is not a fourth power")
-    return _gcd_norm_with_target(K, t)
-
-
-def _gcd_norm_with_target(lat: QuaternionLattice, t: int) -> AlgebraicInteger:
-    fld = lat.algebra.field
-    bs = lat.basis()
-    sets = _COEFF_SETS_1 if fld.degree == 1 else _COEFF_SETS_2
-    for coeffs in sets:
-        g = fld.zero
-        for combo in itertools.product(coeffs, repeat=4):
-            x = None
-            for c, b in zip(combo, bs):
-                if fld.degree == 1:
-                    if c == 0:
-                        continue
-                    term = b.scale(fld.element(c))
-                else:
-                    if c == (0, 0):
-                        continue
-                    term = b.scale(fld.element(c[0], c[1]))
-                x = term if x is None else x + term
-            if x is None:
-                continue
-            nr = x.reduced_norm()
-            if not nr.is_integral():
-                raise ValueError("product lattice has non-integral norms")
-            g = field_gcd(g, nr.to_integer())
-            if abs(g.norm()) == t:
-                return canonical_positive_associate(g)
-    raise ValueError("norm gcd did not reach the determinant certificate")
-
-
 def is_isomorphic(I: LeftIdeal, J: LeftIdeal, with_witness: bool = False):
-    """I = J x test: search conj(J)*I for an element of minimal reduced norm.
+    """I = J x test: search the Hom module conj(J)*I for an element of minimal norm.
 
     Scaling by units of O_L reduces the search to elements whose normalized
-    norm is exactly 1, which live inside the smallest trace-form ball.
+    norm is exactly 1, which live inside the ball Tr Q <= g.
     """
-    alg = I.order.algebra
-    fld = alg.field
-    K = J.lattice.conjugate().multiply(I.lattice)
-    n = _hom_lattice_norm(K, I.order.reduced_discriminant())
-    gram = _trace_gram(K, n)
-    zb = K.z_basis()
-    for vec in short_vectors(gram, 2 * fld.degree):
-        x = _combination(zb, vec)
-        nr = x.reduced_norm() / n.to_element()
-        if nr == fld.one:
+    fld = I.order.algebra.field
+    mod = hom_module(I, J)
+    for x, q in small_norm_elements(mod, fld.degree):
+        if q == fld.one:
             return (True, x) if with_witness else True
     return (False, None) if with_witness else False
 

@@ -1,10 +1,17 @@
-"""Hom modules between ideal classes, carried as O_L-lattices with the
-normalized degree form Q(x) = Nrd(x) / n, where n is the canonical totally
-positive generator of the reduced norm of the product lattice."""
+"""Lattices with the normalized degree form Q(x) = Nrd(x) / n, where n is the
+canonical totally positive generator of the reduced norm of the lattice, and
+the one search for their elements of small norm.
+
+A Hom module between two ideal classes, and an order with n = 1, are both
+such lattices.  Every small-norm question (theta coefficients, isomorphism
+tests, unit weights) is answered by `small_norm_elements`, which enumerates
+the integer trace form Tr_{L/Q}(B) of rank 4g."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import LevelMismatch
 from .fields import (
@@ -15,12 +22,13 @@ from .fields import (
 )
 from .lattices import QuaternionLattice
 from .linalg import det_generic, inverse_generic
-from .orders import LeftIdeal, _hom_lattice_norm
+from .quaternions import QuaternionElement
+from .shortvec import DEFAULT_CAP, short_vectors
 
 
 @dataclass(frozen=True)
 class QuadraticModule:
-    """conj(I_j) * I_i with Q = Nrd/n: integral, primitive, totally positive definite."""
+    """A lattice with Q = Nrd/n: integral, primitive, totally positive definite."""
 
     lattice: QuaternionLattice
     normalizer: AlgebraicInteger
@@ -41,16 +49,10 @@ class QuadraticModule:
         return ((x * y.conjugate()).reduced_trace() / self.normalizer.to_element()).to_integer()
 
 
-def hom_module(I_i: LeftIdeal, I_j: LeftIdeal, i: int = 0, j: int = 0) -> QuadraticModule:
-    """The quadratic module of maps from class i to class j.
-
-    The lattice is conj(I_j) * I_i; dividing Nrd by the canonical generator
-    of its norm makes the form integral with unit content.
-    """
-    K = I_j.lattice.conjugate().multiply(I_i.lattice)
-    n = _hom_lattice_norm(K, I_i.order.reduced_discriminant())
-    bs = K.basis()
-    ne = n.to_element()
+def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: int = 0, j: int = 0) -> QuadraticModule:
+    """The lattice with Q = Nrd/normalizer; raises unless Q is integral with unit content."""
+    bs = lattice.basis()
+    ne = normalizer.to_element()
     gram = []
     for x in bs:
         row = []
@@ -60,26 +62,156 @@ def hom_module(I_i: LeftIdeal, I_j: LeftIdeal, i: int = 0, j: int = 0) -> Quadra
                 raise ValueError("degree form is not integral: wrong normalizer")
             row.append(v.to_integer())
         gram.append(tuple(row))
-    mod = QuadraticModule(K, n, i, j, tuple(gram))
+    mod = QuadraticModule(lattice, normalizer, i, j, tuple(gram))
     _check_unit_content(mod)
     return mod
+
+
+def hom_module(I_i, I_j, i: int = 0, j: int = 0) -> QuadraticModule:
+    """The quadratic module of maps from the class of left ideal I_i to that of I_j.
+
+    The lattice is conj(I_j) * I_i; dividing Nrd by the canonical generator
+    of its norm makes the form integral with unit content.
+    """
+    K = I_j.lattice.conjugate().multiply(I_i.lattice)
+    return degree_module(K, _hom_lattice_norm(K, I_i.order.reduced_discriminant()), i, j)
+
+
+def hom_modules(ideals) -> list[list[QuadraticModule]]:
+    """hom_module(I_i, I_j, i, j) for every ordered pair of class representatives."""
+    return [[hom_module(I, J, i, j) for j, J in enumerate(ideals)] for i, I in enumerate(ideals)]
 
 
 def _check_unit_content(mod: QuadraticModule) -> None:
     """The ideal generated by all Q values must be trivial (primitivity)."""
     fld = mod.field
-    g = fld.zero
+    coeffs = []
     for r in range(4):
         d = mod.gram[r][r]
         half = fld.element(d.a, d.b, 2)  # Q(b_r) = B(b_r, b_r)/2
         if not half.is_integral():
             raise ValueError("diagonal of the degree form is odd")
-        g = field_gcd(g, half.to_integer())
+        coeffs.append(half.to_integer())
+    coeffs += [mod.gram[r][s] for r in range(4) for s in range(r + 1, 4)]
+    g = fld.zero
+    for c in coeffs:
+        g = field_gcd(g, c)
+        if g.is_unit():
+            return
+    raise ValueError(f"degree form has nontrivial content ({g!r})")
+
+
+# ---------------------------------------------------------------------------
+# Reduced norms of lattices
+
+
+_COEFF_SETS_1 = [(0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2)]
+_COEFF_SETS_2 = [
+    ((0, 0), (1, 0), (0, 1), (1, 1)),
+    ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)),
+    tuple((a, b) for a in (-2, -1, 0, 1, 2) for b in (-2, -1, 0, 1, 2)),
+]
+
+
+def _hom_lattice_norm(K: QuaternionLattice, order_disc: AlgebraicInteger) -> AlgebraicInteger:
+    """Reduced norm of a product lattice conj(J)*I, certified by determinants."""
+    fld = K.algebra.field
+    det = K.det_pairing()
+    dn = det.norm() if fld.degree == 2 else det.coords()[0]
+    # |N(det(K))| = N(norm)^4 * N(disc)^2
+    nval = abs(dn.numerator)
+    if dn.denominator != 1:
+        raise ValueError("non-integral product lattice determinant")
+    base = nval // (order_disc.norm() ** 2)
+    if base * (order_disc.norm() ** 2) != nval:
+        raise ValueError("determinant certificate failed")
+    t = isqrt(isqrt(base))
+    if t ** 4 != base:
+        raise ValueError("determinant ratio is not a fourth power")
+    return norm_gcd(K, t)
+
+
+def norm_gcd(lat: QuaternionLattice, t: int) -> AlgebraicInteger:
+    """Canonical totally positive generator of the ideal generated by all Nrd values.
+
+    Accumulates a gcd of reduced norms over a growing coefficient box until
+    its norm reaches `t`, the value the determinant certifies.
+    """
+    fld = lat.algebra.field
+    bs = lat.basis()
+    sets = _COEFF_SETS_1 if fld.degree == 1 else _COEFF_SETS_2
+    for coeffs in sets:
+        g = fld.zero
+        for combo in itertools.product(coeffs, repeat=4):
+            x = None
+            for c, b in zip(combo, bs):
+                if fld.degree == 1:
+                    if c == 0:
+                        continue
+                    term = b.scale(fld.element(c))
+                else:
+                    if c == (0, 0):
+                        continue
+                    term = b.scale(fld.element(c[0], c[1]))
+                x = term if x is None else x + term
+            if x is None:
+                continue
+            nr = x.reduced_norm()
+            if not nr.is_integral():
+                raise ValueError("lattice has non-integral norms")
+            g = field_gcd(g, nr.to_integer())
+            if abs(g.norm()) == t:
+                return canonical_positive_associate(g)
+    raise ValueError("norm gcd did not reach the determinant certificate")
+
+
+# ---------------------------------------------------------------------------
+# Small-norm search
+
+
+def trace_form(mod: QuadraticModule) -> list[list[int]]:
+    """Positive definite integer Gram of (x, y) -> Tr_{L/Q}(B(x, y)) on the Z-structure."""
+    fld = mod.field
+    g = fld.degree
+    n = 4 * g
+    rows = [[0] * n for _ in range(n)]
+    w = fld.omega if g == 2 else None
     for r in range(4):
-        for s in range(r + 1, 4):
-            g = field_gcd(g, mod.gram[r][s])
-    if not g.is_unit():
-        raise ValueError(f"degree form has nontrivial content ({g!r})")
+        for s in range(4):
+            base = mod.gram[r][s]
+            if g == 1:
+                rows[r][s] = base.trace()
+            else:
+                rows[2 * r][2 * s] = base.trace()
+                rows[2 * r][2 * s + 1] = (base * w).trace()
+                rows[2 * r + 1][2 * s] = (w * base).trace()
+                rows[2 * r + 1][2 * s + 1] = (w * base * w).trace()
+    return rows
+
+
+def small_norm_elements(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP):
+    """Yield (x, Q(x)) for one x of each pair {x, -x} of nonzero elements with Tr Q(x) <= trace_bound.
+
+    The trace form evaluates Tr(2Q), so the enumeration budget is 2*trace_bound.
+    """
+    zb = mod.lattice.z_basis()
+    for vec in short_vectors(trace_form(mod), 2 * trace_bound, cap=cap):
+        x = _combination(zb, vec)
+        yield x, mod.value(x)
+
+
+def _combination(zb, vec) -> QuaternionElement:
+    out = None
+    for c, b in zip(vec, zb):
+        if c == 0:
+            continue
+        term = b.scale(c)
+        out = term if out is None else out + term
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Determinant and level
 
 
 def gram_and_level(mod: QuadraticModule, expected_level: AlgebraicInteger | None = None):

@@ -166,18 +166,6 @@ class QuaternionElement:
         return t * t - a * x * x - b * y * y + a * b * z * z
 
 
-def reduced_norm(q: QuaternionElement) -> FieldElement:
-    return q.reduced_norm()
-
-
-def reduced_trace(q: QuaternionElement) -> FieldElement:
-    return q.reduced_trace()
-
-
-def conjugate(q: QuaternionElement) -> QuaternionElement:
-    return q.conjugate()
-
-
 # ---------------------------------------------------------------------------
 # Local solvability of z^2 = a x^2 + b y^2 (Hilbert symbols by finite search)
 

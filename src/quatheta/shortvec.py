@@ -62,18 +62,17 @@ def _interval(center: Fraction, radius_sq: Fraction) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _enumerate(d, u, budget: Fraction, level: int, partial, centers, out, cap: int, top_range=None):
-    """DFS from coordinate `level` down to 0; `partial` maps level -> chosen x."""
-    n = len(d)
+def _enumerate(d, u, budget: Fraction, level: int, partial, centers, out, cap: int):
+    """DFS from coordinate `level` down to 0; `partial` maps level -> chosen x.
+
+    While every coordinate above `level` is zero the current one starts at 0,
+    so exactly one vector of each pair {x, -x} is visited.
+    """
     center = -centers[level]
-    if top_range is None:
-        lo, hi = _interval(center, budget / d[level])
-        if partial_all_zero(partial, level, n):
-            lo = max(lo, 0)
-        values = range(lo, hi + 1)
-    else:
-        values = top_range
-    for x in values:
+    lo, hi = _interval(center, budget / d[level])
+    if not any(partial[level + 1:]):
+        lo = max(lo, 0)
+    for x in range(lo, hi + 1):
         diff = x - center
         used = d[level] * diff * diff
         if used > budget:
@@ -93,47 +92,10 @@ def _enumerate(d, u, budget: Fraction, level: int, partial, centers, out, cap: i
         partial[level] = 0
 
 
-def partial_all_zero(partial, level, n) -> bool:
-    return all(partial[j] == 0 for j in range(level + 1, n))
-
-
-def short_vectors(gram: list[list[int]], budget: int, workers: int = 1, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """All x != 0 with x^T G x <= budget, one representative per {x, -x}.
-
-    The result is independent of `workers`; splitting happens on the values
-    of the outermost coordinate and chunks are merged in fixed order.
-    """
-    n = len(gram)
-    d, u = cholesky_rational(gram)
-    b = Fraction(budget)
-    lo, hi = _interval(Fraction(0), b / d[n - 1])
-    top = [x for x in range(max(lo, 0), hi + 1)]
-    if workers <= 1 or len(top) < 2:
-        out: list[tuple[int, ...]] = []
-        _enumerate(d, u, b, n - 1, [0] * n, [Fraction(0)] * n, out, cap, top_range=top)
-        return out
-    chunks = [top[i::workers] for i in range(workers)]
-    results = []
-    payloads = [(gram, budget, chunk, cap) for chunk in chunks if chunk]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_worker, payloads))
-    except Exception:
-        results = [_chunk_worker(p) for p in payloads]
-    merged: list[tuple[int, ...]] = []
-    for r in results:
-        merged.extend(r)
-        if len(merged) > cap:
-            raise BoundTooLarge(f"enumeration exceeded cap of {cap} vectors")
-    return merged
-
-
-def _chunk_worker(payload):
-    gram, budget, chunk, cap = payload
+def short_vectors(gram: list[list[int]], budget: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """All x != 0 with x^T G x <= budget, one representative per {x, -x}, in a fixed order."""
     n = len(gram)
     d, u = cholesky_rational(gram)
     out: list[tuple[int, ...]] = []
-    _enumerate(d, u, Fraction(budget), n - 1, [0] * n, [Fraction(0)] * n, out, cap, top_range=chunk)
+    _enumerate(d, u, Fraction(budget), n - 1, [0] * n, [Fraction(0)] * n, out, cap)
     return out

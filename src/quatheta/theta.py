@@ -3,33 +3,15 @@ computed by exact branch-and-bound over the integer trace form of rank 4g."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
 from dataclasses import dataclass
 
 from .errors import IncompatibleBounds
 from .fields import AlgebraicInteger, enumerate_totally_positive
-from .orders import ClassSet, _combination
-from .quadmod import QuadraticModule, hom_module
-from .shortvec import DEFAULT_CAP, short_vectors
-
-
-def trace_form(mod: QuadraticModule) -> list[list[int]]:
-    """Positive definite integer Gram of (x, y) -> Tr_{L/Q}(B(x, y)) on the Z-structure."""
-    fld = mod.field
-    g = fld.degree
-    n = 4 * g
-    rows = [[0] * n for _ in range(n)]
-    w = fld.omega if g == 2 else None
-    for r in range(4):
-        for s in range(4):
-            base = mod.gram[r][s]
-            if g == 1:
-                rows[r][s] = base.trace()
-            else:
-                rows[2 * r][2 * s] = base.trace()
-                rows[2 * r][2 * s + 1] = (base * w).trace()
-                rows[2 * r + 1][2 * s] = (w * base).trace()
-                rows[2 * r + 1][2 * s + 1] = (w * base * w).trace()
-    return rows
+from .quadmod import QuadraticModule, small_norm_elements
+from .shortvec import DEFAULT_CAP
+from .shortvec import short_vectors  # noqa: F401  (unused; perfbench/test_perfbench.py reads this binding)
 
 
 @dataclass(frozen=True)
@@ -49,29 +31,20 @@ class ThetaSeries:
         except ValueError:
             raise IncompatibleBounds(f"{nu!r} is outside the computed index set") from None
 
-    def vector(self) -> tuple[int, ...]:
-        return self.counts
-
     def total(self) -> int:
         return sum(self.counts)
 
 
-def theta(mod: QuadraticModule, bound: int, workers: int = 1, cap: int = DEFAULT_CAP) -> ThetaSeries:
-    """Enumerate all lattice points with Tr(Q(x)) <= bound and bucket by the exact value of Q.
+def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeries:
+    """Count the lattice points with Tr(Q(x)) <= bound by the exact value of Q.
 
-    The enumeration runs over the integer trace form with budget 2*bound
-    (since the trace form evaluates Tr(2Q)); each enumerated representative
-    stands for the pair {x, -x}.
+    Each enumerated representative stands for the pair {x, -x}.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     fld = mod.field
-    gram = trace_form(mod)
-    zb = mod.lattice.z_basis()
     buckets: dict[tuple[int, int], int] = {}
-    for vec in short_vectors(gram, 2 * bound, workers=workers, cap=cap):
-        x = _combination(zb, vec)
-        nu = mod.value(x)
+    for _, nu in small_norm_elements(mod, bound, cap):
         buckets[nu.coords()] = buckets.get(nu.coords(), 0) + 2
     index = enumerate_totally_positive(fld, bound)
     allowed = {nu.coords() for nu in index}
@@ -82,17 +55,33 @@ def theta(mod: QuadraticModule, bound: int, workers: int = 1, cap: int = DEFAULT
     return ThetaSeries(fld, mod.i, mod.j, bound, tuple(index), tuple(counts))
 
 
-def theta_matrix(classes: ClassSet, bound: int, workers: int = 1) -> list[list[ThetaSeries]]:
-    """Theta series of every Hom module between the enumerated classes."""
-    H = classes.size
-    out = []
-    for i in range(H):
-        row = []
-        for j in range(H):
-            mod = hom_module(classes.ideals[i], classes.ideals[j], i, j)
-            row.append(theta(mod, bound, workers=workers))
-        out.append(row)
-    return out
+def _theta_counts(mod: QuadraticModule, bound: int) -> tuple[int, ...]:
+    """Pool task: the counts of one theta series, as plain integers."""
+    return theta(mod, bound).counts
+
+
+def theta_matrix(mods: list[list[QuadraticModule]], bound: int, workers: int = 1) -> list[list[ThetaSeries]]:
+    """Theta series of every Hom module in the H x H table `mods`.
+
+    With workers > 1 the modules are spread over one pool of at most
+    `workers` processes; a failure in any task is raised here unchanged.
+    The series themselves are built in this process, so they all share its
+    field object.
+    """
+    flat = [m for row in mods for m in row]
+    if workers == 1:
+        series = [theta(m, bound) for m in flat]
+    else:
+        # spawned children start from a fresh import and get all they need in
+        # the payload; fork would copy this process's heap and is unsafe once
+        # the process has threads
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(min(workers, len(flat)), spawn) as pool:
+            counts = list(pool.map(_theta_counts, flat, [bound] * len(flat)))
+        index = tuple(enumerate_totally_positive(flat[0].field, bound))
+        series = [ThetaSeries(m.field, m.i, m.j, bound, index, c) for m, c in zip(flat, counts)]
+    H = len(mods)
+    return [series[i * H : (i + 1) * H] for i in range(H)]
 
 
 def theta_difference(t1: ThetaSeries, t2: ThetaSeries) -> tuple[int, ...]:

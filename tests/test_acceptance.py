@@ -14,7 +14,7 @@ from quatheta.brandt import cuspidal_eigenvalues, hecke_property_suite
 from quatheta.cli import RunConfig, _default_hecke, report_body, run
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, mass_formula, standard_order
-from quatheta.quadmod import gram_and_level, hom_module
+from quatheta.quadmod import gram_and_level, hom_module, hom_modules
 from quatheta.quaternions import construct
 from quatheta.theta import theta, theta_matrix
 
@@ -43,7 +43,7 @@ def test_criterion_1_classical_eichler_span():
     expected = {11: 1, 23: 2, 37: 2, 67: 5}
     for p, dim in expected.items():
         cs = _classes(1, p)
-        thetas = theta_matrix(cs, 50)
+        thetas = theta_matrix(hom_modules(cs.ideals), 50)
         rep = span_rank(thetas, classical_dimension(p))
         _report(
             f"criterion 1: span rank (Q, {p}) B=50",
@@ -83,7 +83,7 @@ def test_criterion_3_eigenvalue_oracle():
     """(Q, 11) cuspidal eigenvalues at 2,3,5,7 equal eta-product coefficients; < 10 s."""
     t0 = time.monotonic()
     cs = _classes(1, 11)
-    thetas = theta_matrix(cs, 8)
+    thetas = theta_matrix(hom_modules(cs.ideals), 8)
     eta = eta_product_coefficients(11, 8)
     expected = {2: -2, 3: -1, 5: 1, 7: -2}
     for q, val in expected.items():
@@ -142,7 +142,7 @@ def test_criterion_6_hecke_property_suite():
     t0 = time.monotonic()
     for d, p, bound in [(1, 11, 26), (1, 23, 26), (5, 2, 12), (5, 11, 12)]:
         cs = _classes(d, p)
-        thetas = theta_matrix(cs, bound)
+        thetas = theta_matrix(hom_modules(cs.ideals), bound)
         primes = _default_hecke(field(d), p, bound)
         assert all(P.norm <= 25 for P in primes)
         rep = hecke_property_suite(cs, thetas, primes, bound)
@@ -158,7 +158,7 @@ def test_criterion_6_hecke_property_suite():
 def test_criterion_7_hilbert_hecke_stability():
     """(Q(sqrt5), 11): difference span exactly Brandt-stable; Eisenstein sums source-independent."""
     cs = _classes(5, 11)
-    thetas = theta_matrix(cs, 12)
+    thetas = theta_matrix(hom_modules(cs.ideals), 12)
     primes = _default_hecke(field(5), 11, 12)
     span, checks = hilbert_consistency(cs, thetas, primes)
     _report(

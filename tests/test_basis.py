@@ -9,6 +9,7 @@ from quatheta.basis import (
 )
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, standard_order
+from quatheta.quadmod import hom_modules
 from quatheta.quaternions import construct
 from quatheta.theta import theta_matrix
 
@@ -19,7 +20,7 @@ def _setup(d, p, bound, mode="level_p"):
     alg = construct(field(d), p)
     O = standard_order(alg) if mode == "level_p" else level_one_order(alg)
     cs = ideal_classes(O)
-    return cs, theta_matrix(cs, bound)
+    return cs, theta_matrix(hom_modules(cs.ideals), bound)
 
 
 def test_classical_dimension_formula():
@@ -54,7 +55,7 @@ def test_rank_monotone_and_stabilizes():
     cs = ideal_classes(standard_order(construct(field(1), 23)))
     ranks = []
     for bound in (4, 8, 16, 30):
-        th = theta_matrix(cs, bound)
+        th = theta_matrix(hom_modules(cs.ideals), bound)
         ranks.append(span_rank(th).rank)
     assert ranks == sorted(ranks)
     assert ranks[-1] == ranks[-2] == 2

@@ -12,6 +12,7 @@ from quatheta.brandt import (
 from quatheta.errors import CoefficientOutOfRange
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, standard_order
+from quatheta.quadmod import hom_modules
 from quatheta.quaternions import construct
 from quatheta.theta import theta_matrix
 
@@ -22,7 +23,7 @@ def _setup(d, p, bound, mode="level_p"):
     alg = construct(field(d), p)
     O = standard_order(alg) if mode == "level_p" else level_one_order(alg)
     cs = ideal_classes(O)
-    return cs, theta_matrix(cs, bound)
+    return cs, theta_matrix(hom_modules(cs.ideals), bound)
 
 
 def test_unit_index_gives_identity():

@@ -1,9 +1,15 @@
 """CLI driver: exit codes, report determinism, cache behavior, golden report."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from quatheta.cli import RunConfig, main, run, report_body
+from quatheta.cli import RunConfig, cache_lookup, cache_store, main, run, report_body
+from quatheta.fields import field
+from quatheta.orders import default_aux_prime, ideal_classes, standard_order
+from quatheta.quaternions import construct
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +68,18 @@ def test_no_cache_flag(tmp_path):
     assert not list(tmp_path.glob("classes_*.json"))
 
 
+def test_cache_store_replaces_entry_atomically(tmp_path):
+    cfg = RunConfig(d=1, p=11, bound=10, cache_dir=str(tmp_path))
+    order = standard_order(construct(field(1), 11))
+    classes = ideal_classes(order)
+    cache_store(cfg, order, classes)
+    cache_store(cfg, order, classes)
+    assert len(list(tmp_path.glob("classes_*.json"))) == 1
+    assert [f.name for f in tmp_path.iterdir() if not f.name.endswith(".json")] == []
+    got = cache_lookup(cfg, order, default_aux_prime(field(1), 11))
+    assert got is not None and got.weights == classes.weights
+
+
 def test_schema_bump_invalidates(tmp_path):
     cfg = dict(d=1, p=11, bound=10, cache_dir=str(tmp_path))
     run(RunConfig(**cfg))
@@ -77,6 +95,21 @@ def test_worker_counts_do_not_change_body():
     a = report_body(run(RunConfig(d=1, p=11, bound=12, workers=1)))
     b = report_body(run(RunConfig(d=1, p=11, bound=12, workers=8)))
     assert json.dumps(a) == json.dumps(b)
+
+
+def test_repeated_hecke_prime_checked_once(tmp_path):
+    out = tmp_path / "r.json"
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--hecke", "2,2", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["hecke"] == [[2, 0]]
+
+
+def test_import_leaves_sympy_unloaded():
+    code = "import sys, quatheta; print('sympy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_explicit_flags():

@@ -135,9 +135,9 @@ def test_unit_rescaling_permutes_representations():
     t = theta(m, 8)
     rescaled = {}
     zb = m.lattice.z_basis()
-    from quatheta.orders import _combination
+    from quatheta.quadmod import _combination
     from quatheta.shortvec import short_vectors
-    from quatheta.theta import trace_form
+    from quatheta.quadmod import trace_form
 
     for vec in short_vectors(trace_form(m), 2 * 8):
         x = _combination(zb, vec)

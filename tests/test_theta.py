@@ -1,5 +1,6 @@
 """Theta series: exactness against the naive box-scan oracle, parity, differences."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from quatheta.errors import IncompatibleBounds
 from quatheta.fields import field
 from quatheta.linalg import det_generic
 from quatheta.orders import ideal_classes, level_one_order, standard_order
-from quatheta.quadmod import hom_module
+from quatheta.quadmod import hom_module, hom_modules, trace_form
 from quatheta.quaternions import construct
-from quatheta.theta import theta, theta_difference, theta_matrix, trace_form
+from quatheta.theta import theta, theta_difference, theta_matrix
 
 from oracles import eta_product_coefficients, theta_box_scan
 
@@ -43,7 +44,7 @@ def test_trace_form_positive_definite():
 
 def test_basic_coefficients():
     cs = _classes(1, 11)
-    thetas = theta_matrix(cs, 10)
+    thetas = theta_matrix(hom_modules(cs.ideals), 10)
     assert all(thetas[i][j].counts[0] == 1 for i in range(2) for j in range(2))
     assert thetas[0][0].counts[1] == 4  # norm-one elements of the first order
     assert thetas[1][1].counts[1] == 6
@@ -56,7 +57,7 @@ def test_basic_coefficients():
 
 def test_hurwitz_unit_count():
     cs = _classes(1, 2)
-    t = theta_matrix(cs, 6)[0][0]
+    t = theta_matrix(hom_modules(cs.ideals), 6)[0][0]
     assert t.counts[1] == 24
 
 
@@ -83,7 +84,7 @@ def test_theta_matches_box_scan_oracle(d, p):
 
 def test_difference_examples():
     cs = _classes(1, 11)
-    thetas = theta_matrix(cs, 30)
+    thetas = theta_matrix(hom_modules(cs.ideals), 30)
     zero = theta_difference(thetas[0][0], thetas[0][0])
     assert not any(zero)
     d = theta_difference(thetas[0][0], thetas[1][1])
@@ -91,14 +92,14 @@ def test_difference_examples():
     eta = eta_product_coefficients(11, 30)
     assert list(d) == [-2 * c for c in eta]
     with pytest.raises(IncompatibleBounds):
-        theta_difference(thetas[0][0], theta_matrix(cs, 10)[0][0])
+        theta_difference(thetas[0][0], theta_matrix(hom_modules(cs.ideals), 10)[0][0])
 
 
 def test_weighted_row_sums_independent_of_source():
     # Eisenstein identity: sum_j a_nu(M_ij)/w_j does not depend on i
     for d, p, bound in [(1, 11, 12), (5, 11, 6)]:
         cs = _classes(d, p)
-        thetas = theta_matrix(cs, bound)
+        thetas = theta_matrix(hom_modules(cs.ideals), bound)
         H = cs.size
         rows = [
             [
@@ -134,10 +135,25 @@ def test_smaller_bound_is_prefix():
 
 def test_worker_split_identical():
     cs = _classes(1, 11)
-    m = hom_module(cs.ideals[0], cs.ideals[1], 0, 1)
-    a = theta(m, 20, workers=1)
-    b = theta(m, 20, workers=5)
-    assert a.counts == b.counts
+    mods = hom_modules(cs.ideals)
+    a = theta_matrix(mods, 20, workers=1)
+    b = theta_matrix(mods, 20, workers=5)
+    assert [[t.counts for t in row] for row in a] == [[t.counts for t in row] for row in b]
+    assert all(t.field is cs.order.algebra.field for row in b for t in row)
+
+
+def test_pool_failure_reaches_caller_unchanged():
+    # a module whose trace form is negative definite makes its pool task
+    # raise; the error must be the worker's own, not a serial rerun's
+    from concurrent.futures.process import _RemoteTraceback
+
+    cs = _classes(1, 11)
+    mods = hom_modules(cs.ideals)
+    bad = mods[1][0]
+    mods[1][0] = dataclasses.replace(bad, gram=tuple(tuple(-e for e in row) for row in bad.gram))
+    with pytest.raises(ValueError, match="not positive definite") as info:
+        theta_matrix(mods, 10, workers=2)
+    assert isinstance(info.value.__cause__, _RemoteTraceback)
 
 
 def test_enumeration_cap():
@@ -154,7 +170,7 @@ def test_hurwitz_theta_is_odd_divisor_sum():
     from oracles import odd_divisor_sum
 
     cs = _classes(1, 2)
-    t = theta_matrix(cs, 16)[0][0]
+    t = theta_matrix(hom_modules(cs.ideals), 16)[0][0]
     for k, nu in enumerate(t.nus):
         if nu.is_zero():
             continue
@@ -167,7 +183,7 @@ def test_icosian_theta_is_ideal_divisor_sum():
 
     F5 = field(5)
     cs = _classes(5, 2, "level_one")
-    t = theta_matrix(cs, 10)[0][0]
+    t = theta_matrix(hom_modules(cs.ideals), 10)[0][0]
     for k, nu in enumerate(t.nus):
         if nu.is_zero():
             continue
