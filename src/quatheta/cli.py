@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
 from .brandt import brandt, hecke_property_suite, cuspidal_eigenvalues, prime_power_index, ramanujan_ok
-from .errors import QuathetaError
+from .errors import NotAnOrder, QuathetaError
 from .fields import AlgebraicInteger, field, primes_above
 from .lattices import QuaternionLattice
 from .orders import (
@@ -27,7 +27,9 @@ from .orders import (
     ideal_classes,
     level_one_order,
     mass_formula,
+    right_order,
     standard_order,
+    unit_weight,
 )
 from .quadmod import gram_and_level, hom_modules
 from .quaternions import construct, verify_ramification
@@ -116,8 +118,11 @@ def _deserialize_classes(order: Order, payload: dict, aux) -> ClassSet | None:
         mass = sum(Fraction(1, w) for w in weights)
         if mass != mass_formula(order):
             return None
+        # a weight swap keeps the mass: every cached weight is recomputed
+        if any(unit_weight(right_order(I.lattice)) != w for I, w in zip(ideals, weights)):
+            return None
         return ClassSet(order, ideals, weights, aux, mass)
-    except (KeyError, ValueError, TypeError, IndexError):
+    except (KeyError, ValueError, TypeError, IndexError, NotAnOrder):
         return None
 
 
@@ -162,6 +167,24 @@ def _default_hecke(fld, p: int, bound: int) -> list:
                 out.append(P)
     out.sort(key=lambda P: (P.norm, P.generator.key()))
     return out
+
+
+def _theta_tables(thetas) -> list[dict]:
+    """The report's theta tables.
+
+    Reports are kept in memory by callers that run many configurations, so
+    the tables share objects: every table reuses one `nu` list per index, and
+    tables with equal counts (theta_ij = theta_ji) share one coefficient list.
+    """
+    nus = [_coords(nu) for nu in thetas[0][0].nus]
+    shared: dict[tuple[int, ...], list[dict]] = {}
+    tables = []
+    for row in thetas:
+        for t in row:
+            if t.counts not in shared:
+                shared[t.counts] = [{"nu": nu, "count": c} for nu, c in zip(nus, t.counts)]
+            tables.append({"i": t.i, "j": t.j, "coefficients": shared[t.counts]})
+    return tables
 
 
 def run(cfg: RunConfig) -> dict:
@@ -290,21 +313,7 @@ def run(cfg: RunConfig) -> dict:
             "norms": [_coords(I.norm) for I in classes.ideals],
         },
         "hom_modules": levels,
-        "theta": {
-            "bound": cfg.bound,
-            "tables": [
-                {
-                    "i": i,
-                    "j": j,
-                    "coefficients": [
-                        {"nu": _coords(nu), "count": c}
-                        for nu, c in zip(thetas[i][j].nus, thetas[i][j].counts)
-                    ],
-                }
-                for i in range(H)
-                for j in range(H)
-            ],
-        },
+        "theta": {"bound": cfg.bound, "tables": _theta_tables(thetas)},
         "brandt": brandt_blocks,
         "hecke_checks": suite.checks,
         "hilbert_checks": extra_checks.checks if extra_checks is not None else None,

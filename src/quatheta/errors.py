@@ -18,7 +18,7 @@ class RamifiedPrime(QuathetaError):
 
 
 class CompositeP(QuathetaError):
-    """The algebra prime must be a rational prime."""
+    """A prime argument (the algebra, auxiliary or Hecke prime) is not a rational prime."""
 
 
 class RamificationMismatch(QuathetaError):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import RamifiedPrime, UnsupportedField
+from .errors import CompositeP, RamifiedPrime, UnsupportedField
 
 # d -> (fundamental unit coordinates, |zeta_L(-1)|).  Every d here has
 # narrow class number one and a fundamental unit of norm -1, which is
@@ -593,9 +593,30 @@ def _tp_generator_of_norm(fld: FieldDescriptor, target: int, member) -> Algebrai
             raise ArithmeticError(f"no generator of norm {target} found")
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; the rational primes handled here are small."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 @lru_cache(maxsize=None)
 def primes_above(fld: FieldDescriptor, ell: int) -> tuple[PrimeIdeal, ...]:
-    """The primes of O_L above a rational prime, ordered by generator key."""
+    """The primes of O_L above a rational prime, ordered by generator key.
+
+    Raises CompositeP when `ell` is not a rational prime.
+    """
+    if not is_prime(ell):
+        raise CompositeP(f"{ell} is not prime")
     if fld.degree == 1:
         return (PrimeIdeal(fld, ell, 1, 1, fld.integer(ell), 0),)
     if fld.discriminant % ell == 0:

@@ -23,6 +23,7 @@ from .fields import (
     enumerate_totally_positive,
     exact_div,
     is_associate,
+    is_prime,
     primes_above,
 )
 from .lattices import QuaternionLattice
@@ -327,7 +328,7 @@ def standard_order(alg: QuaternionAlgebra) -> Order:
     surplus = exact_div(disc, target)
     ell = 2
     while not surplus.is_unit():
-        for P in primes_above(fld, ell):
+        for P in primes_above(fld, ell) if is_prime(ell) else ():
             tv = P.valuation(target)
             if P.valuation(disc) > tv:
                 order = _saturate_at(order, P, tv)
@@ -373,7 +374,7 @@ def unit_weight(order: Order) -> int:
     """
     fld = order.algebra.field
     mod = degree_module(order.lattice, fld.one)
-    return sum(1 for _, q in small_norm_elements(mod, fld.degree) if q == fld.one)
+    return sum(1 for _, nu in small_norm_elements(mod, fld.degree) if nu == (1, 0))
 
 
 def mass_formula(order: Order) -> Fraction:
@@ -483,9 +484,9 @@ def is_isomorphic(I: LeftIdeal, J: LeftIdeal, with_witness: bool = False):
     """
     fld = I.order.algebra.field
     mod = hom_module(I, J)
-    for x, q in small_norm_elements(mod, fld.degree):
-        if q == fld.one:
-            return (True, x) if with_witness else True
+    for vec, nu in small_norm_elements(mod, fld.degree):
+        if nu == (1, 0):
+            return (True, mod.element(vec)) if with_witness else True
     return (False, None) if with_witness else False
 
 
@@ -508,9 +509,7 @@ def default_aux_prime(fld: FieldDescriptor, p: int) -> PrimeIdeal:
     """Smallest-norm prime of O_L away from p and the field discriminant."""
     best = None
     for ell in range(2, 100):
-        if any(ell % f == 0 for f in range(2, ell)):
-            continue
-        if p % ell == 0 or fld.discriminant % ell == 0:
+        if not is_prime(ell) or p % ell == 0 or fld.discriminant % ell == 0:
             continue
         for P in primes_above(fld, ell):
             if best is None or (P.norm, P.generator.key()) < (best.norm, best.generator.key()):

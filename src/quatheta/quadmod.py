@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 from .errors import LevelMismatch
 from .fields import (
@@ -43,6 +44,16 @@ class QuadraticModule:
     def value(self, x) -> AlgebraicInteger:
         """Q(x) = Nrd(x)/n for a lattice element."""
         return (x.reduced_norm() / self.normalizer.to_element()).to_integer()
+
+    def element(self, vec) -> QuaternionElement:
+        """The lattice element with Z-coordinates `vec` (in `lattice.z_basis()` order)."""
+        out = None
+        for c, b in zip(vec, self.lattice.z_basis()):
+            if c == 0:
+                continue
+            term = b.scale(c)
+            out = term if out is None else out + term
+        return out
 
     def bilinear(self, x, y) -> AlgebraicInteger:
         """B(x, y) = Q(x+y) - Q(x) - Q(y) = Trd(x conj(y)) / n."""
@@ -169,8 +180,11 @@ def norm_gcd(lat: QuaternionLattice, t: int) -> AlgebraicInteger:
 # Small-norm search
 
 
-def trace_form(mod: QuadraticModule) -> list[list[int]]:
-    """Positive definite integer Gram of (x, y) -> Tr_{L/Q}(B(x, y)) on the Z-structure."""
+def trace_form(mod: QuadraticModule, weight: AlgebraicInteger | None = None) -> list[list[int]]:
+    """Integer Gram of (x, y) -> Tr_{L/Q}(weight * B(x, y)) on the Z-structure.
+
+    The weight defaults to 1, which gives the positive definite trace form.
+    """
     fld = mod.field
     g = fld.degree
     n = 4 * g
@@ -178,7 +192,7 @@ def trace_form(mod: QuadraticModule) -> list[list[int]]:
     w = fld.omega if g == 2 else None
     for r in range(4):
         for s in range(4):
-            base = mod.gram[r][s]
+            base = mod.gram[r][s] if weight is None else weight * mod.gram[r][s]
             if g == 1:
                 rows[r][s] = base.trace()
             else:
@@ -190,24 +204,37 @@ def trace_form(mod: QuadraticModule) -> list[list[int]]:
 
 
 def small_norm_elements(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP):
-    """Yield (x, Q(x)) for one x of each pair {x, -x} of nonzero elements with Tr Q(x) <= trace_bound.
+    """Yield (vec, (a, b)) for one x of each pair {x, -x} of nonzero elements with Tr Q(x) <= trace_bound.
 
-    The trace form evaluates Tr(2Q), so the enumeration budget is 2*trace_bound.
+    `vec` holds the Z-coordinates of x (`mod.element(vec)` is x) and
+    Q(x) = a + b*omega.  The trace form evaluates Tr(2Q), so the enumeration
+    budget is 2*trace_bound.  Values come from integer quadratic forms on the
+    Z-coordinates: over Q, Q = x^T T x / 2; over Q(sqrt d), Tr(Q) and
+    Tr(omega Q) determine a and b through a 2x2 integer system.
     """
-    zb = mod.lattice.z_basis()
-    for vec in short_vectors(trace_form(mod), 2 * trace_bound, cap=cap):
-        x = _combination(zb, vec)
-        yield x, mod.value(x)
+    fld = mod.field
+    T = trace_form(mod)
+    vecs = short_vectors(T, 2 * trace_bound, cap=cap)
+    if fld.degree == 1:
+        for vec in vecs:
+            yield vec, (_form(T, vec) >> 1, 0)
+        return
+    W = trace_form(mod, fld.omega)
+    t, n = fld.omega_trace, fld.omega_norm
+    disc = t * t - 4 * n
+    for vec in vecs:
+        h1 = _form(T, vec) >> 1  # Tr Q = 2a + t b
+        h2 = _form(W, vec) >> 1  # Tr(omega Q) = t a + (t^2 - 2n) b
+        a, ra = divmod((t * t - 2 * n) * h1 - t * h2, disc)
+        b, rb = divmod(2 * h2 - t * h1, disc)
+        if ra or rb:
+            raise ArithmeticError(f"degree form value at {vec} is not in O_L")
+        yield vec, (a, b)
 
 
-def _combination(zb, vec) -> QuaternionElement:
-    out = None
-    for c, b in zip(vec, zb):
-        if c == 0:
-            continue
-        term = b.scale(c)
-        out = term if out is None else out + term
-    return out
+def _form(rows: list[list[int]], vec) -> int:
+    """x^T G x; even for the trace forms here, whose diagonals are traces of 2Q."""
+    return sum(c * sum(map(mul, row, vec)) for c, row in zip(vec, rows) if c)
 
 
 # ---------------------------------------------------------------------------

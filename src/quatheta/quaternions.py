@@ -15,23 +15,9 @@ from .fields import (
     PrimeIdeal,
     exact_div,
     hensel_root,
+    is_prime,
     primes_above,
 )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _legendre(a: int, p: int) -> int:
@@ -43,7 +29,7 @@ def _legendre(a: int, p: int) -> int:
 
 def rational_presentation(p: int) -> tuple[int, int]:
     """Structure constants (a, b) of the rational quaternion algebra ramified at {p, oo}."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
     if p == 2:
         return (-1, -1)
@@ -52,7 +38,7 @@ def rational_presentation(p: int) -> tuple[int, int]:
     if p % 8 == 5:
         return (-2, -p)
     q = 3
-    while not (_is_prime(q) and q % 4 == 3 and _legendre(q, p) == -1):
+    while not (is_prime(q) and q % 4 == 3 and _legendre(q, p) == -1):
         q += 2
     return (-p, -q)
 

@@ -1,101 +1,94 @@
 """Exact enumeration of short vectors of a positive definite integer Gram matrix.
 
-Branch-and-bound in the Fincke-Pohst style over an exact rational Cholesky
-decomposition.  Floating point is used only to seed interval endpoints; every
-endpoint is widened and then confirmed by exact rational evaluation, so the
-output is exact.  One vector per +-pair is returned: the highest-index
-nonzero coordinate is positive.
+Branch-and-bound in the Fincke-Pohst style over a fraction-free (Bareiss)
+LDL^T decomposition, in integer arithmetic only.  With leading principal
+minors D_0 = 1, D_1, ..., D_n and Bareiss numerators M[k][j],
+
+    x^T G x = sum_k t_k^2 / (D_k D_{k+1}),  t_k = D_{k+1} x_k + sum_{j>k} M[k][j] x_j,
+
+so after scaling by E = lcm_k(D_k D_{k+1}) level k spends w_k t_k^2 of an
+integer budget, w_k = E / (D_k D_{k+1}).  The interval of x_k is exact:
+|t_k| <= isqrt(R // w_k) for the remaining budget R.  No floating point and
+no rational arithmetic is used.  One vector per +-pair is returned: the
+highest-index nonzero coordinate is positive.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from math import isqrt, lcm
 
 from .errors import BoundTooLarge
 
 DEFAULT_CAP = 5_000_000
 
 
-def cholesky_rational(gram: list[list[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact decomposition gram = U^T D U with U unit upper triangular.
+def _ldl_fraction_free(gram: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Leading principal minors [D_0 = 1, ..., D_n] and Bareiss numerators M.
 
-    Raises ValueError when the form is not positive definite.
+    M[k][j] (j > k) is D_k times the entry (k, j) of the k-th Schur
+    complement, an integer minor of the Gram; only the upper triangle of M
+    is meaningful.  Raises ValueError when the form is not positive
+    definite.
     """
     n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in gram]
+    minors = [1]
     for k in range(n):
-        d[k] = a[k][k]
-        if d[k] <= 0:
+        pivot = a[k][k]
+        if pivot <= 0:
             raise ValueError("gram matrix is not positive definite")
-        for j in range(k + 1, n):
-            u[k][j] = a[k][j] / d[k]
+        prev = minors[-1]
         for i in range(k + 1, n):
             for j in range(i, n):
-                a[i][j] -= d[k] * u[k][i] * u[k][j]
-                a[j][i] = a[i][j]
-    return d, u
-
-
-def _interval(center: Fraction, radius_sq: Fraction) -> tuple[int, int]:
-    """Integers x with (x - center)^2 <= radius_sq, via float seed + exact fix-up."""
-    if radius_sq < 0:
-        return (1, 0)
-    r = math.sqrt(float(radius_sq)) if radius_sq > 0 else 0.0
-    c = float(center)
-    lo = math.floor(c - r) - 1  # widened by one, then confirmed exactly
-    hi = math.ceil(c + r) + 1
-    while (lo - center) * (lo - center) > radius_sq:
-        lo += 1
-        if lo > hi:
-            return (1, 0)
-    while (lo - 1 - center) * (lo - 1 - center) <= radius_sq:
-        lo -= 1
-    while (hi - center) * (hi - center) > radius_sq:
-        hi -= 1
-        if hi < lo:
-            return (1, 0)
-    while (hi + 1 - center) * (hi + 1 - center) <= radius_sq:
-        hi += 1
-    return (lo, hi)
-
-
-def _enumerate(d, u, budget: Fraction, level: int, partial, centers, out, cap: int):
-    """DFS from coordinate `level` down to 0; `partial` maps level -> chosen x.
-
-    While every coordinate above `level` is zero the current one starts at 0,
-    so exactly one vector of each pair {x, -x} is visited.
-    """
-    center = -centers[level]
-    lo, hi = _interval(center, budget / d[level])
-    if not any(partial[level + 1:]):
-        lo = max(lo, 0)
-    for x in range(lo, hi + 1):
-        diff = x - center
-        used = d[level] * diff * diff
-        if used > budget:
-            continue
-        partial[level] = x
-        if level == 0:
-            vec = tuple(partial)
-            if any(vec):
-                out.append(vec)
-                if len(out) > cap:
-                    raise BoundTooLarge(f"enumeration exceeded cap of {cap} vectors")
-        else:
-            new_centers = list(centers)
-            for j in range(level):
-                new_centers[j] += u[j][level] * x
-            _enumerate(d, u, budget - used, level - 1, partial, new_centers, out, cap)
-        partial[level] = 0
+                a[i][j] = (pivot * a[i][j] - a[k][i] * a[k][j]) // prev  # exact (Sylvester)
+        minors.append(pivot)
+    return minors, a
 
 
 def short_vectors(gram: list[list[int]], budget: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """All x != 0 with x^T G x <= budget, one representative per {x, -x}, in a fixed order."""
+    """All x != 0 with x^T G x <= budget, one representative per {x, -x}, in a fixed order.
+
+    Coordinates are chosen from the last to the first, each in increasing
+    order, so the output is ordered by the reversed coordinate tuple.
+    """
     n = len(gram)
-    d, u = cholesky_rational(gram)
+    minors, m = _ldl_fraction_free(gram)
+    if budget < 0:
+        return []
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    weights = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     out: list[tuple[int, ...]] = []
-    _enumerate(d, u, Fraction(budget), n - 1, [0] * n, [Fraction(0)] * n, out, cap)
+    _search(n - 1, scale * budget, [0] * n, m, minors, weights, out, cap)
     return out
+
+
+def _search(level, rest, x, m, minors, weights, out, cap) -> None:
+    """DFS over x[level], then the coordinates below it; `rest` is the scaled budget left.
+
+    While every coordinate above `level` is zero the current one starts at 0,
+    so exactly one vector of each pair {x, -x} is visited.  A module-level
+    function rather than a closure, so no reference cycle keeps `out` alive.
+    """
+    pivot = minors[level + 1]
+    row = m[level]
+    center = 0
+    for j in range(level + 1, len(x)):
+        center += row[j] * x[j]
+    radius = isqrt(rest // weights[level])
+    lo = -((radius + center) // pivot)  # smallest x with pivot*x + center >= -radius
+    hi = (radius - center) // pivot
+    if not any(x[level + 1 :]):
+        lo = max(lo, 1 if level == 0 else 0)  # level 0 also skips the zero vector
+    if level == 0:
+        if lo <= hi:
+            tail = tuple(x[1:])
+            out.extend((v, *tail) for v in range(lo, hi + 1))
+            if len(out) > cap:
+                raise BoundTooLarge(f"enumeration exceeded cap of {cap} vectors")
+        return
+    w = weights[level]
+    for v in range(lo, hi + 1):
+        t = pivot * v + center
+        x[level] = v
+        _search(level - 1, rest - w * t * t, x, m, minors, weights, out, cap)
+    x[level] = 0

@@ -45,7 +45,7 @@ def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeri
     fld = mod.field
     buckets: dict[tuple[int, int], int] = {}
     for _, nu in small_norm_elements(mod, bound, cap):
-        buckets[nu.coords()] = buckets.get(nu.coords(), 0) + 2
+        buckets[nu] = buckets.get(nu, 0) + 2
     index = enumerate_totally_positive(fld, bound)
     allowed = {nu.coords() for nu in index}
     stray = [k for k in buckets if k not in allowed]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quatheta.cli import RunConfig, cache_lookup, cache_store, main, run, report_body
 from quatheta.fields import field
 from quatheta.orders import default_aux_prime, ideal_classes, standard_order
@@ -44,6 +46,15 @@ def test_exit_code_level_one_impossible(capsys):
     assert payload["error"] == "LevelOneImpossible"
 
 
+@pytest.mark.parametrize("flag", [["--aux-prime", "4"], ["--hecke", "4"], ["--hecke", "9"], ["--hecke", "2,1"]])
+def test_exit_code_composite_prime(flag, capsys):
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "CompositeP"
+    assert "Traceback" not in captured.err
+
+
 def test_cache_cold_then_warm_identical(tmp_path):
     cfg = dict(d=1, p=11, bound=10, cache_dir=str(tmp_path))
     a = report_body(run(RunConfig(**cfg)))
@@ -60,6 +71,21 @@ def test_cache_corruption_ignored(tmp_path, capsys):
     b = report_body(run(RunConfig(**cfg)))
     assert json.dumps(a) == json.dumps(b)
     assert "corrupted" in capsys.readouterr().err
+
+
+def test_cache_with_swapped_weights_rejected(tmp_path, capsys):
+    # swapping the weights keeps sum 1/w = mass, so only recomputing them catches it
+    cfg = dict(d=1, p=11, bound=12, cache_dir=str(tmp_path))
+    run(RunConfig(**cfg))
+    (entry,) = tmp_path.glob("classes_*.json")
+    payload = json.loads(entry.read_text())
+    assert [c["weight"] for c in payload["classes"]] == [2, 3]
+    payload["classes"][0]["weight"], payload["classes"][1]["weight"] = 3, 2
+    entry.write_text(json.dumps(payload))
+    report = run(RunConfig(**cfg))
+    assert "stale cache entry" in capsys.readouterr().err
+    assert report["timings"]["classes_from_cache"] is False
+    assert report_body(report) == json.loads((GOLDEN / "q11_b12.json").read_text())
 
 
 def test_no_cache_flag(tmp_path):
