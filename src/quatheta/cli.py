@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
 from .brandt import brandt, hecke_property_suite, cuspidal_eigenvalues, prime_power_index, ramanujan_ok
-from .errors import NotAnOrder, QuathetaError
+from .errors import BadPrime, NotAnOrder, QuathetaError
 from .fields import AlgebraicInteger, field, primes_above
 from .lattices import QuaternionLattice
 from .orders import (
@@ -173,24 +173,56 @@ def _theta_tables(thetas) -> list[dict]:
     """The report's theta tables.
 
     Reports are kept in memory by callers that run many configurations, so
-    the tables share objects: every table reuses one `nu` list per index, and
-    tables with equal counts (theta_ij = theta_ji) share one coefficient list.
+    the tables share objects: one `nu` list per index, one entry dict per
+    (index, count), and one coefficient list per count tuple (tables with
+    theta_ij = theta_ji share it).
     """
     nus = [_coords(nu) for nu in thetas[0][0].nus]
+    entries: dict[tuple[int, int], dict] = {}
     shared: dict[tuple[int, ...], list[dict]] = {}
     tables = []
     for row in thetas:
         for t in row:
             if t.counts not in shared:
-                shared[t.counts] = [{"nu": nu, "count": c} for nu, c in zip(nus, t.counts)]
+                shared[t.counts] = [
+                    entries.setdefault((k, c), {"nu": nus[k], "count": c}) for k, c in enumerate(t.counts)
+                ]
             tables.append({"i": t.i, "j": t.j, "coefficients": shared[t.counts]})
     return tables
 
 
+def _hecke_primes(cfg: RunConfig, fld) -> tuple[list, list[dict]]:
+    """The Hecke primes to check, and the requested ones dropped with the reason.
+
+    Raises BadPrime when a requested prime divides the level p.
+    """
+    if not cfg.hecke_primes:
+        return _default_hecke(fld, cfg.p, cfg.bound), []
+    by_generator = {}  # a prime requested twice is checked once
+    for ell in cfg.hecke_primes:
+        for P in primes_above(fld, ell):
+            by_generator.setdefault(P.generator.coords(), P)
+    hecke, dropped = [], []
+    for P in by_generator.values():
+        if cfg.mode == "level_p" and P.residue_char == cfg.p:
+            raise BadPrime(f"Hecke prime {P!r} divides the level {cfg.p}")
+        trace = prime_power_index(P, 1).trace()
+        if trace <= cfg.bound:
+            hecke.append(P)
+        else:
+            dropped.append({"prime": _coords(P.generator), "reason": f"index trace {trace} > bound {cfg.bound}"})
+    return hecke, dropped
+
+
 def run(cfg: RunConfig) -> dict:
-    """Full pipeline; returns the report dict (deterministic body plus timings)."""
+    """Full pipeline; returns the report dict (deterministic body plus timings).
+
+    Raises BadPrime when a requested Hecke prime divides the level p, and
+    CompositeP when one is not prime.  Requested primes whose index trace
+    exceeds the bound are left out and listed in timings["hecke_dropped"].
+    """
     cfg.validate()
-    timings: dict[str, float] = {}
+    timings: dict[str, object] = {}
     t0 = time.monotonic()
     fld = field(cfg.d)
     alg = construct(fld, cfg.p)
@@ -219,6 +251,11 @@ def run(cfg: RunConfig) -> dict:
     t0 = time.monotonic()
     H = classes.size
     mods = hom_modules(classes.ideals)
+    coords: dict[AlgebraicInteger, list[int]] = {}  # one [a, b] list per value in this report
+
+    def shared(x: AlgebraicInteger) -> list[int]:
+        return coords.setdefault(x, [x.a, x.b])
+
     levels = []
     for i in range(H):
         for j in range(H):
@@ -227,10 +264,10 @@ def run(cfg: RunConfig) -> dict:
                 {
                     "i": i,
                     "j": j,
-                    "normalizer": _coords(mods[i][j].normalizer),
-                    "gram": [[_coords(e) for e in row] for row in mods[i][j].gram],
-                    "det": _coords(det),
-                    "level": _coords(level),
+                    "normalizer": shared(mods[i][j].normalizer),
+                    "gram": [[shared(e) for e in row] for row in mods[i][j].gram],
+                    "det": shared(det),
+                    "level": shared(level),
                 }
             )
     timings["hom_modules"] = time.monotonic() - t0
@@ -240,14 +277,7 @@ def run(cfg: RunConfig) -> dict:
     timings["theta"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    if cfg.hecke_primes:
-        by_generator = {}  # a prime requested twice is checked once
-        for ell in cfg.hecke_primes:
-            for P in primes_above(fld, ell):
-                by_generator.setdefault(P.generator.coords(), P)
-        hecke = [P for P in by_generator.values() if prime_power_index(P, 1).trace() <= cfg.bound]
-    else:
-        hecke = _default_hecke(fld, cfg.p, cfg.bound)
+    hecke, timings["hecke_dropped"] = _hecke_primes(cfg, fld)
     suite = hecke_property_suite(classes, thetas, hecke, cfg.bound)
     brandt_blocks = []
     for P in hecke:

@@ -321,16 +321,27 @@ class FieldElement:
         return (Fraction(self.num.a, self.den), Fraction(self.num.b, self.den))
 
 
+def _quotient(x: AlgebraicInteger, y: AlgebraicInteger) -> AlgebraicInteger | None:
+    """x / y when y divides x in O_L, else None; y must be nonzero."""
+    # x/y = x conj(y) / (y conj(y)), and y conj(y) is a rational integer
+    yc = y.conjugate()
+    num, nn = x * yc, (y * yc).a
+    (a, ra), (b, rb) = divmod(num.a, nn), divmod(num.b, nn)
+    return None if ra or rb else x.field.integer(a, b)
+
+
 def exact_div(x: AlgebraicInteger, y: AlgebraicInteger) -> AlgebraicInteger:
     """x / y when y divides x in O_L; raises otherwise."""
-    q = x.to_element() / y.to_element()
-    return q.to_integer()
+    q = _quotient(x, y)
+    if q is None:
+        raise ValueError(f"{y!r} does not divide {x!r}")
+    return q
 
 
 def divides(y: AlgebraicInteger, x: AlgebraicInteger) -> bool:
     if y.is_zero():
         return x.is_zero()
-    return (x.to_element() / y.to_element()).is_integral()
+    return _quotient(x, y) is not None
 
 
 def canonical_positive_associate(x: AlgebraicInteger) -> AlgebraicInteger:
@@ -381,27 +392,36 @@ def euclid_divmod(x: AlgebraicInteger, y: AlgebraicInteger) -> tuple[AlgebraicIn
     f = x.field
     if y.is_zero():
         raise ZeroDivisionError("division by zero")
-    qa, qb = (x.to_element() / y.to_element()).coords()
-    fa, fb = qa.numerator // qa.denominator, qb.numerator // qb.denominator
+    t, n = f.omega_trace, f.omega_norm
+    yc = y.conjugate()  # x/y = x conj(y) / (y conj(y)), a rational denominator
+    num, nn = x * yc, (y * yc).a
+    fa, fb = num.a // nn, num.b // nn
+    ynorm = abs(y.norm())
     for width in (2, 4):
         a_range = range(-width + 1, width + 1)
         b_range = (0,) if f.degree == 1 else a_range
         best = None
         for da in a_range:
             for db in b_range:
-                q = f.integer(fa + da, (fb + db) if f.degree == 2 else 0)
-                r = x - q * y
-                cand = (abs(r.norm()), r.key(), q.key())
-                if best is None or cand < best[0]:
-                    best = (cand, q, r)
-        _, q, r = best
-        if abs(r.norm()) < abs(y.norm()):
-            return q, r
+                qa, qb = fa + da, fb + db
+                bb = qb * y.b
+                ra = x.a - (qa * y.a - n * bb)
+                rb = x.b - (qa * y.b + qb * y.a + t * bb)
+                rnorm = abs(ra) if f.degree == 1 else abs(ra * ra + t * ra * rb + n * rb * rb)
+                # ties: the keys of r, then of q (ordered as AlgebraicInteger.key)
+                cand = (rnorm, 2 * ra + t * rb, ra, rb, 2 * qa + t * qb, qa, qb)
+                if best is None or cand < best:
+                    best = cand
+        if best[0] < ynorm:
+            _, _, ra, rb, _, qa, qb = best
+            return f.integer(qa, qb), f.integer(ra, rb)
     raise ArithmeticError(f"euclidean step failed for {x!r} / {y!r}")
 
 
 def field_gcd(x: AlgebraicInteger, y: AlgebraicInteger) -> AlgebraicInteger:
     """A gcd of (x, y) in O_L, normalized to the canonical positive associate."""
+    if x.field.degree == 1:
+        return x.field.integer(gcd(x.a, y.a))
     while not y.is_zero():
         _, r = euclid_divmod(x, y)
         x, y = y, r

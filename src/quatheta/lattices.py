@@ -4,10 +4,17 @@ A lattice is stored as a canonical Hermite-normal-form basis over O_L
 (possible because every allowlisted field is norm-Euclidean with trivial
 class group) together with a global integer denominator.  Canonical form
 makes equality, hashing and serialization trivial.
+
+Arithmetic runs on integer rows.  An element of O_L^4 is a row of 4g
+integers, the coordinates (a, b) of a + b*omega for t, x, y, z in turn (b
+left out over Q); products and the Gram of a basis come from the algebra's
+structure constants on that Z-basis.  Every HNF is the integer HNF of the
+rank-4g Z-structure; over Q(sqrt d) `hnf_ol` then turns its 8 rows into 4.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 
 from .fields import (
@@ -17,7 +24,7 @@ from .fields import (
     exact_div,
     field_xgcd,
 )
-from .linalg import det_generic, hnf_int, inverse_generic, kernel_int
+from .linalg import hnf_int, inverse_generic, kernel_int
 from .quaternions import QuaternionAlgebra, QuaternionElement
 
 
@@ -88,51 +95,135 @@ def hnf_ol(fld, rows: list[list[AlgebraicInteger]], ncols: int = 4) -> list[list
     return m[:piv]
 
 
+# ---------------------------------------------------------------------------
+# Integer rows
+
+
+@lru_cache(maxsize=None)
+def _structure(algebra: QuaternionAlgebra):
+    """Sparse structure constants on the Z-basis e_{g*c+k} = omega^k * (1, i, j, k)[c].
+
+    Returns (mul, trd): mul[p] lists (q, m, c) with e_p e_q = sum c e_m, and
+    trd[p] lists (q, k, c) with Trd(e_p conj(e_q)) = sum c omega^k.
+    """
+    fld = algebra.field
+    g = fld.degree
+    powers = [fld.one.to_element()] + ([fld.omega.to_element()] if g == 2 else [])
+    basis = [b.scale(w) for b in algebra.basis() for w in powers]
+
+    def ints(c: FieldElement) -> tuple[int, ...]:
+        return c.to_integer().coords()[:g]
+
+    mul = tuple(
+        tuple(
+            (q, m, c)
+            for q, eq in enumerate(basis)
+            for m, c in enumerate(v for co in (ep * eq).coords() for v in ints(co))
+            if c
+        )
+        for ep in basis
+    )
+    trd = tuple(
+        tuple(
+            (q, k, c)
+            for q, eq in enumerate(basis)
+            for k, c in enumerate(ints((ep * eq.conjugate()).reduced_trace()))
+            if c
+        )
+        for ep in basis
+    )
+    return mul, trd
+
+
+def _bilinear(terms, x, y, size: int) -> list[int]:
+    """sum over p, q of x_p y_q (e_p * e_q) for a sparse tensor from `_structure`."""
+    out = [0] * size
+    for xp, row in zip(x, terms):
+        if xp:
+            for q, m, c in row:
+                yq = y[q]
+                if yq:
+                    out[m] += c * xp * yq
+    return out
+
+
+def _integer_rows(g: int, elems: list[QuaternionElement]) -> tuple[list[list[int]], int]:
+    """Integer rows of the elements over their least common denominator."""
+    den = lcm(1, *(c.den for q in elems for c in q.coords()))
+    rows = []
+    for q in elems:
+        row = []
+        for c in q.coords():
+            s = den // c.den
+            row += (c.num.a * s, c.num.b * s)[:g]
+        rows.append(row)
+    return rows, den
+
+
+def _z_structure(fld, rows) -> list[list[int]]:
+    """Z-generators of the O_L-span of integer rows: each row, then omega times it."""
+    if fld.degree == 1:
+        return [list(r) for r in rows]
+    t, n = fld.omega_trace, fld.omega_norm
+    out = []
+    for r in rows:
+        out.append(list(r))
+        w = []
+        for a, b in zip(r[::2], r[1::2]):
+            w += (-n * b, a + t * b)  # omega * (a + b omega)
+        out.append(w)
+    return out
+
+
 class QuaternionLattice:
     """A full O_L-lattice in B, canonical basis rows over a common denominator."""
 
-    __slots__ = ("algebra", "mat", "den", "_inv", "_zrows")
+    __slots__ = ("algebra", "rows", "mat", "den", "_inv", "_zrows", "_zhnf", "_gram")
 
-    def __init__(self, algebra: QuaternionAlgebra, mat, den: int):
+    def __init__(self, algebra: QuaternionAlgebra, rows, den: int):
+        fld = algebra.field
         self.algebra = algebra
-        self.mat = mat  # 4 rows of 4 AlgebraicInteger (canonical HNF)
+        self.rows = rows  # 4 integer rows of length 4g (canonical HNF)
+        self.mat = tuple(  # the same rows as 4 AlgebraicInteger each
+            tuple(fld.integer(*r[c : c + fld.degree]) for c in range(0, len(r), fld.degree))
+            for r in rows
+        )
         self.den = den
         self._inv = None
         self._zrows = None
+        self._zhnf = None
+        self._gram = None
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def from_generators(algebra: QuaternionAlgebra, gens: list[QuaternionElement]) -> QuaternionLattice:
+        rows, den = _integer_rows(algebra.field.degree, gens)
+        return QuaternionLattice._from_z_rows(algebra, _z_structure(algebra.field, rows), den)
+
+    @staticmethod
+    def _from_z_rows(algebra, zrows, den) -> QuaternionLattice:
+        """The lattice whose Z-structure is spanned by the integer rows over den."""
         fld = algebra.field
-        den = 1
-        for q in gens:
-            for c in q.coords():
-                den = lcm(den, c.den)
-        rows = []
-        for q in gens:
-            rows.append([(c * den).to_integer() for c in q.coords()])
-        rows = hnf_ol(fld, rows)
-        if len(rows) != 4:
-            raise ValueError(f"generators span rank {len(rows)} < 4")
+        rows = hnf_int(zrows)
+        if len(rows) != 4 * fld.degree:
+            raise ValueError(f"generators span rank {len(rows) // fld.degree} < 4")
+        if fld.degree == 2:
+            ol = [[fld.integer(a, b) for a, b in zip(r[::2], r[1::2])] for r in rows]
+            rows = [[c for e in r for c in e.coords()] for r in hnf_ol(fld, ol)]
         return QuaternionLattice._normalized(algebra, rows, den)
 
     @staticmethod
     def _normalized(algebra, rows, den) -> QuaternionLattice:
-        g = den
-        for r in rows:
-            for e in r:
-                g = gcd(g, gcd(abs(e.a), abs(e.b)))
+        g = gcd(den, *(e for r in rows for e in r))
         if g > 1:
-            fld = algebra.field
-            rows = [[fld.integer(e.a // g, e.b // g) for e in r] for r in rows]
+            rows = [[e // g for e in r] for r in rows]
             den //= g
         return QuaternionLattice(algebra, tuple(tuple(r) for r in rows), den)
 
     # -- basic views ---------------------------------------------------------
 
     def basis(self) -> list[QuaternionElement]:
-        f = self.algebra.field
         return [
             self.algebra.element(*[FieldElement.make(e, self.den) for e in row])
             for row in self.mat
@@ -143,19 +234,9 @@ class QuaternionLattice:
 
     def z_rows(self) -> list[list[int]]:
         """Integer rows of the rank-4g Z-structure, interleaved (b_m, omega*b_m)."""
-        if self._zrows is not None:
-            return self._zrows
-        f = self.algebra.field
-        rows = []
-        for row in self.mat:
-            if f.degree == 1:
-                rows.append([e.a for e in row])
-            else:
-                rows.append([c for e in row for c in (e.a, e.b)])
-                wrow = [f.omega * e for e in row]
-                rows.append([c for e in wrow for c in (e.a, e.b)])
-        self._zrows = rows
-        return rows
+        if self._zrows is None:
+            self._zrows = _z_structure(self.algebra.field, self.rows)
+        return self._zrows
 
     def z_basis(self) -> list[QuaternionElement]:
         """Quaternions of the Z-structure in the same order as z_rows()."""
@@ -172,11 +253,11 @@ class QuaternionLattice:
             isinstance(other, QuaternionLattice)
             and self.algebra == other.algebra
             and self.den == other.den
-            and self.mat == other.mat
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.den, self.mat))
+        return hash((self.den, self.rows))
 
     def __repr__(self) -> str:
         return f"Lattice(den={self.den}, rows={self.mat})"
@@ -197,7 +278,24 @@ class QuaternionLattice:
         return [sum((v[r] * inv[r][c] for r in range(4)), start=self.algebra.field.element(0)) for c in range(4)]
 
     def contains(self, q: QuaternionElement) -> bool:
-        return all(c.is_integral() for c in self.coordinates(q))
+        """Membership by back-substitution in the integer HNF of the Z-structure."""
+        if self._zhnf is None:
+            # over Q the canonical rows already are that HNF
+            self._zhnf = self.rows if self.algebra.field.degree == 1 else hnf_int(self.z_rows())
+        (row,), den = _integer_rows(self.algebra.field.degree, [q])
+        w = []
+        for c in row:
+            v, r = divmod(c * self.den, den)
+            if r:
+                return False
+            w.append(v)
+        for i, h in enumerate(self._zhnf):  # square and upper triangular
+            k, r = divmod(w[i], h[i])
+            if r:
+                return False
+            if k:
+                w = [a - k * b for a, b in zip(w, h)]
+        return True
 
     def contains_lattice(self, other: QuaternionLattice) -> bool:
         return all(self.contains(b) for b in other.basis())
@@ -205,20 +303,24 @@ class QuaternionLattice:
     # -- arithmetic ----------------------------------------------------------
 
     def multiply(self, other: QuaternionLattice) -> QuaternionLattice:
-        gens = [a * b for a in self.basis() for b in other.basis()]
-        return QuaternionLattice.from_generators(self.algebra, gens)
+        """The lattice spanned by the 16 products of basis rows."""
+        fld = self.algebra.field
+        mul = _structure(self.algebra)[0]
+        size = 4 * fld.degree
+        prods = [_bilinear(mul, r, s, size) for r in self.rows for s in other.rows]
+        return QuaternionLattice._from_z_rows(self.algebra, _z_structure(fld, prods), self.den * other.den)
 
     def conjugate(self) -> QuaternionLattice:
-        return QuaternionLattice.from_generators(self.algebra, [b.conjugate() for b in self.basis()])
+        """conj(L): the basis rows with their i, j and k columns negated."""
+        g = self.algebra.field.degree
+        rows = [r[:g] + tuple(-c for c in r[g:]) for r in self.rows]
+        return QuaternionLattice._from_z_rows(self.algebra, _z_structure(self.algebra.field, rows), self.den)
 
     def scale(self, c) -> QuaternionLattice:
         return QuaternionLattice.from_generators(self.algebra, [b.scale(c) for b in self.basis()])
 
     def right_multiply(self, q: QuaternionElement) -> QuaternionLattice:
         return QuaternionLattice.from_generators(self.algebra, [b * q for b in self.basis()])
-
-    def add(self, other: QuaternionLattice) -> QuaternionLattice:
-        return QuaternionLattice.from_generators(self.algebra, self.basis() + other.basis())
 
     def intersect(self, other: QuaternionLattice) -> QuaternionLattice:
         d = lcm(self.den, other.den)
@@ -233,29 +335,33 @@ class QuaternionLattice:
             rows.append([sum(u[i] * m1[i][j] for i in range(n)) for j in range(len(m1[0]))])
         return QuaternionLattice._from_z_rows(self.algebra, rows, d)
 
-    @staticmethod
-    def _from_z_rows(algebra, zrows, den) -> QuaternionLattice:
-        f = algebra.field
-        rows = []
-        for zr in zrows:
-            if not any(zr):
-                continue
-            if f.degree == 1:
-                rows.append([f.integer(c) for c in zr])
-            else:
-                rows.append([f.integer(zr[2 * i], zr[2 * i + 1]) for i in range(4)])
-        rows = hnf_ol(f, rows)
-        if len(rows) != 4:
-            raise ValueError("intersection lost full rank")
-        return QuaternionLattice._normalized(algebra, rows, den)
-
     # -- invariants ----------------------------------------------------------
 
+    def trd_gram(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """den^2 * Trd(b_r conj(b_s)) for the basis b_r, each entry the g coordinates of an O_L element.
+
+        For b = (t, x, y, z) and b' = (t', x', y', z'), Trd(b conj(b')) =
+        2(t t' - a x x' - b y y' + ab z z'), so every entry is even.
+        """
+        if self._gram is None:
+            trd = _structure(self.algebra)[1]
+            g = self.algebra.field.degree
+            self._gram = tuple(
+                tuple(tuple(_bilinear(trd, r, s, g)) for s in self.rows) for r in self.rows
+            )
+        return self._gram
+
     def det_pairing(self) -> FieldElement:
-        """Determinant of the Trd(x * y) pairing; its ideal is the squared reduced discriminant."""
-        bs = self.basis()
-        rows = [[(x * y).reduced_trace() for y in bs] for x in bs]
-        return det_generic(rows, self.algebra.field.element(0))
+        """Determinant of the Trd(x * y) pairing; its ideal is the squared reduced discriminant.
+
+        The basis is triangular over (1, i, j, k), whose pairing is
+        diag(2, 2a, 2b, -2ab), so the determinant is
+        -16 a^2 b^2 (product of the pivots)^2 / den^8.
+        """
+        m = self.mat
+        piv = m[0][0] * m[1][1] * m[2][2] * m[3][3]
+        ab = self.algebra.a * self.algebra.b
+        return FieldElement.make(-16 * ab * ab * piv * piv, self.den ** 8)
 
     def multiplier_lattice(self, side: str) -> QuaternionLattice:
         """{x : x*L <= L} for side='left', {x : L*x <= L} for side='right'."""

@@ -12,37 +12,34 @@ def hnf_int(rows: list[list[int]]) -> list[list[int]]:
     Pivots positive, entries below a pivot zero, entries above reduced into
     [0, pivot).  Zero rows are dropped.  Canonical for a given row lattice.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    piv_row = 0
-    for col in range(ncols):
-        r = piv_row
-        while True:
-            nz = [i for i in range(piv_row, len(m)) if m[i][col] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                i = nz[0]
-                m[piv_row], m[i] = m[i], m[piv_row]
-                break
-            i, j = nz[0], nz[1]
-            if abs(m[i][col]) < abs(m[j][col]):
-                i, j = j, i
-            q = m[i][col] // m[j][col]
-            m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        if piv_row >= len(m) or m[piv_row][col] == 0:
+    rest = [list(r) for r in rows if any(r)]
+    out: list[list[int]] = []
+    for col in range(len(rest[0]) if rest else 0):
+        active = [r for r in rest if r[col]]
+        rest = [r for r in rest if not r[col]]
+        # reduce every row by the one of smallest nonzero entry in this column
+        # until one row keeps a nonzero entry there
+        while len(active) > 1:
+            p = min(active, key=lambda r: abs(r[col]))
+            nxt = [p]
+            for r in active:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r = [a - q * b for a, b in zip(r, p)]
+                    if r[col]:
+                        nxt.append(r)
+                    elif any(r):
+                        rest.append(r)
+            active = nxt
+        if not active:
             continue
-        if m[piv_row][col] < 0:
-            m[piv_row] = [-a for a in m[piv_row]]
-        p = m[piv_row][col]
-        for i in range(piv_row):
-            q = m[i][col] // p
+        p = active[0] if active[0][col] > 0 else [-a for a in active[0]]
+        for i, r in enumerate(out):
+            q = r[col] // p[col]
             if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[piv_row])]
-        piv_row += 1
-    return [r for r in m[:piv_row] if any(r)]
+                out[i] = [a - q * b for a, b in zip(r, p)]
+        out.append(p)
+    return out
 
 
 def kernel_int(rows: list[list[int]]) -> list[list[int]]:

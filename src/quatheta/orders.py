@@ -43,11 +43,9 @@ class Order:
             raise NotAnOrder("lattice does not contain 1")
         self._structure = None
         self._disc = None
-        bs = lattice.basis()
-        for x in bs:
-            for y in bs:
-                if not lattice.contains(x * y):
-                    raise NotAnOrder("lattice is not closed under multiplication")
+        # with 1 in the lattice L, L*L contains L, so closure means L*L == L
+        if lattice.multiply(lattice) != lattice:
+            raise NotAnOrder("lattice is not closed under multiplication")
 
     def basis(self):
         return self.lattice.basis()

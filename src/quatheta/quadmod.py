@@ -9,7 +9,6 @@ the integer trace form Tr_{L/Q}(B) of rank 4g."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
@@ -18,6 +17,7 @@ from .errors import LevelMismatch
 from .fields import (
     AlgebraicInteger,
     canonical_positive_associate,
+    exact_div,
     field_gcd,
     is_associate,
 )
@@ -62,18 +62,13 @@ class QuadraticModule:
 
 def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: int = 0, j: int = 0) -> QuadraticModule:
     """The lattice with Q = Nrd/normalizer; raises unless Q is integral with unit content."""
-    bs = lattice.basis()
-    ne = normalizer.to_element()
-    gram = []
-    for x in bs:
-        row = []
-        for y in bs:
-            v = (x * y.conjugate()).reduced_trace() / ne
-            if not v.is_integral():
-                raise ValueError("degree form is not integral: wrong normalizer")
-            row.append(v.to_integer())
-        gram.append(tuple(row))
-    mod = QuadraticModule(lattice, normalizer, i, j, tuple(gram))
+    fld = lattice.algebra.field
+    scaled = lattice.den ** 2 * normalizer  # B(b_r, b_s) = trd_gram[r][s] / (den^2 n)
+    try:
+        gram = tuple(tuple(exact_div(fld.integer(*v), scaled) for v in row) for row in lattice.trd_gram())
+    except ValueError:
+        raise ValueError("degree form is not integral: wrong normalizer") from None
+    mod = QuadraticModule(lattice, normalizer, i, j, gram)
     _check_unit_content(mod)
     return mod
 
@@ -116,14 +111,6 @@ def _check_unit_content(mod: QuadraticModule) -> None:
 # Reduced norms of lattices
 
 
-_COEFF_SETS_1 = [(0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2)]
-_COEFF_SETS_2 = [
-    ((0, 0), (1, 0), (0, 1), (1, 1)),
-    ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)),
-    tuple((a, b) for a in (-2, -1, 0, 1, 2) for b in (-2, -1, 0, 1, 2)),
-]
-
-
 def _hom_lattice_norm(K: QuaternionLattice, order_disc: AlgebraicInteger) -> AlgebraicInteger:
     """Reduced norm of a product lattice conj(J)*I, certified by determinants."""
     fld = K.algebra.field
@@ -145,35 +132,24 @@ def _hom_lattice_norm(K: QuaternionLattice, order_disc: AlgebraicInteger) -> Alg
 def norm_gcd(lat: QuaternionLattice, t: int) -> AlgebraicInteger:
     """Canonical totally positive generator of the ideal generated by all Nrd values.
 
-    Accumulates a gcd of reduced norms over a growing coefficient box until
-    its norm reaches `t`, the value the determinant certifies.
+    Nrd(sum c_r b_r) = sum c_r^2 Nrd(b_r) + sum_{r<s} c_r c_s Trd(b_r conj(b_s)),
+    so the Nrd(b_r) and the Trd(b_r conj(b_s)) for r < s generate that ideal.
+    Its norm must equal `t`, the value the determinant certifies.
     """
     fld = lat.algebra.field
-    bs = lat.basis()
-    sets = _COEFF_SETS_1 if fld.degree == 1 else _COEFF_SETS_2
-    for coeffs in sets:
-        g = fld.zero
-        for combo in itertools.product(coeffs, repeat=4):
-            x = None
-            for c, b in zip(combo, bs):
-                if fld.degree == 1:
-                    if c == 0:
-                        continue
-                    term = b.scale(fld.element(c))
-                else:
-                    if c == (0, 0):
-                        continue
-                    term = b.scale(fld.element(c[0], c[1]))
-                x = term if x is None else x + term
-            if x is None:
-                continue
-            nr = x.reduced_norm()
-            if not nr.is_integral():
-                raise ValueError("lattice has non-integral norms")
-            g = field_gcd(g, nr.to_integer())
-            if abs(g.norm()) == t:
-                return canonical_positive_associate(g)
-    raise ValueError("norm gcd did not reach the determinant certificate")
+    U = lat.trd_gram()  # den^2 Trd(b_r conj(b_s)); the diagonal is 2 den^2 Nrd(b_r)
+    g = fld.zero
+    for r in range(4):
+        g = field_gcd(g, fld.integer(*(c // 2 for c in U[r][r])))
+        for s in range(r + 1, 4):
+            g = field_gcd(g, fld.integer(*U[r][s]))
+    sq = lat.den ** 2
+    if g.a % sq or g.b % sq:
+        raise ValueError("lattice has non-integral norms")
+    n = fld.integer(g.a // sq, g.b // sq)  # still the canonical associate
+    if abs(n.norm()) != t:
+        raise ValueError(f"norm gcd {n!r} disagrees with the determinant certificate {t}")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@ computed by exact branch-and-bound over the integer trace form of rank 4g."""
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 from dataclasses import dataclass
 
 from .errors import IncompatibleBounds
@@ -72,6 +70,10 @@ def theta_matrix(mods: list[list[QuadraticModule]], bound: int, workers: int = 1
     if workers == 1:
         series = [theta(m, bound) for m in flat]
     else:
+        # imported here: a serial run never loads the pool modules
+        import concurrent.futures
+        import multiprocessing
+
         # spawned children start from a fresh import and get all they need in
         # the payload; fork would copy this process's heap and is unsafe once
         # the process has threads

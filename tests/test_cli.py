@@ -1,5 +1,6 @@
 """CLI driver: exit codes, report determinism, cache behavior, golden report."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +54,48 @@ def test_exit_code_composite_prime(flag, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["error"] == "CompositeP"
     assert "Traceback" not in captured.err
+
+
+def test_hecke_prime_dividing_level_is_bad_prime(capsys):
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--hecke", "11"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "BadPrime"
+    assert "Traceback" not in captured.err
+
+
+def test_dropped_hecke_prime_is_reported():
+    r = run(RunConfig(d=1, p=11, bound=12, hecke_primes=(2, 13)))
+    assert r["config"]["hecke"] == [[2, 0]]
+    assert r["timings"]["hecke_dropped"] == [{"prime": [13, 0], "reason": "index trace 13 > bound 12"}]
+    assert run(RunConfig(d=1, p=11, bound=12))["timings"]["hecke_dropped"] == []
+
+
+# sha256 of json.dumps(report_body(run(cfg)), sort_keys=True), recorded before
+# lattices and Hom modules moved to integer rows
+REPORT_DIGESTS = {
+    (1, 67, 50): "2042426df5bc11a50b2625077cd1b828b8984cb72ffcfdbf9ac3e550d4f80fe6",
+    (5, 11, 12): "4d889e2aa9c25fca20721d53fdc6e845b4bdac288c23591863b0309eff19b32f",
+}
+
+
+@pytest.mark.parametrize("d,p,bound", sorted(REPORT_DIGESTS))
+def test_report_digest(d, p, bound):
+    body = report_body(run(RunConfig(d=d, p=p, bound=bound, use_cache=False)))
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[(d, p, bound)]
+
+
+def test_report_shares_equal_values_within_one_report_only():
+    # a caller that keeps many reports holds one object per distinct value
+    a = run(RunConfig(d=1, p=11, bound=12))
+    b = run(RunConfig(d=1, p=11, bound=12))
+    values = [e for m in a["hom_modules"] for row in m["gram"] for e in row]
+    assert len({id(e) for e in values}) == len({tuple(e) for e in values})
+    entries = [e for t in a["theta"]["tables"] for e in t["coefficients"]]
+    assert len({id(e) for e in entries}) == len({(id(e["nu"]), e["count"]) for e in entries})
+    assert not {id(e) for e in entries} & {id(e) for t in b["theta"]["tables"] for e in t["coefficients"]}
+    assert a["hom_modules"][0]["gram"][0][0] is not b["hom_modules"][0]["gram"][0][0]
 
 
 def test_cache_cold_then_warm_identical(tmp_path):
@@ -136,6 +179,14 @@ def test_import_leaves_sympy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_serial_import_leaves_pool_modules_unloaded():
+    code = "import sys, quatheta; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_explicit_flags():

@@ -3,11 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatheta.errors import RamifiedPrime, UnsupportedField
 from quatheta.fields import (
     canonical_positive_associate,
+    divides,
     enumerate_totally_positive,
+    euclid_divmod,
+    exact_div,
     field,
     field_gcd,
     field_xgcd,
@@ -162,6 +167,48 @@ def test_gcd_and_xgcd():
                 assert (x.to_element() / g.to_element()).is_integral()
             if not y.is_zero():
                 assert (y.to_element() / g.to_element()).is_integral()
+
+
+def _euclid_reference(x, y):
+    """The quotient search in FieldElement arithmetic: floor of x/y plus a grid
+    of offsets, minimizing |norm(r)|, then the keys of r and of q."""
+    F = x.field
+    qa, qb = (x.to_element() / y.to_element()).coords()
+    fa, fb = qa.numerator // qa.denominator, qb.numerator // qb.denominator
+    for width in (2, 4):
+        offsets = range(-width + 1, width + 1)
+        cands = []
+        for da in offsets:
+            for db in offsets if F.degree == 2 else (0,):
+                q = F.integer(fa + da, fb + db)
+                r = x - q * y
+                cands.append(((abs(r.norm()), r.key(), q.key()), q, r))
+        _, q, r = min(cands, key=lambda c: c[0])
+        if abs(r.norm()) < abs(y.norm()):
+            return q, r
+    raise AssertionError("no euclidean step")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 5, 13, 17]),
+    xs=st.tuples(*[st.integers(-60, 60)] * 4),
+)
+def test_integer_division_matches_field_elements(d, xs):
+    F = field(d)
+    x = F.integer(xs[0], xs[1] if d > 1 else 0)
+    y = F.integer(xs[2], xs[3] if d > 1 else 0)
+    if y.is_zero():
+        return
+    assert euclid_divmod(x, y) == _euclid_reference(x, y)
+    exact = (x.to_element() / y.to_element()).is_integral()
+    assert divides(y, x) == exact
+    if exact:
+        assert exact_div(x, y).to_element() == x.to_element() / y.to_element()
+    else:
+        with pytest.raises(ValueError):
+            exact_div(x, y)
+    assert exact_div(x * y, y) == x
 
 
 def test_primes_above_ramified():
