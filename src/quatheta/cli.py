@@ -76,7 +76,7 @@ def _serialize_classes(order: Order, classes: ClassSet) -> dict:
     for ideal, w in zip(classes.ideals, classes.weights):
         rows = []
         for b in ideal.lattice.basis():
-            co = [c.to_integer() for c in order.lattice.coordinates(b)]
+            co = order.lattice.coordinates(b)
             if fld.degree == 1:
                 rows.append([c.a for c in co])
             else:
@@ -247,6 +247,7 @@ def run(cfg: RunConfig) -> dict:
         classes = ideal_classes(order, aux)
         cache_store(cfg, order, classes)
     timings["classes"] = time.monotonic() - t0
+    timings["class_search"] = classes.search  # None for a cached class set
 
     t0 = time.monotonic()
     H = classes.size

@@ -24,7 +24,7 @@ from .fields import (
     exact_div,
     field_xgcd,
 )
-from .linalg import hnf_int, inverse_generic, kernel_int
+from .linalg import hnf_int, kernel_int
 from .quaternions import QuaternionAlgebra, QuaternionElement
 
 
@@ -160,25 +160,31 @@ def _integer_rows(g: int, elems: list[QuaternionElement]) -> tuple[list[list[int
     return rows, den
 
 
+def _scale_row(fld, row, k: AlgebraicInteger) -> list[int]:
+    """The integer row of k * x, for k in O_L and x the element with integer row `row`."""
+    if fld.degree == 1:
+        return [k.a * c for c in row]
+    t, n = fld.omega_trace, fld.omega_norm
+    out = []
+    for a, b in zip(row[::2], row[1::2]):  # (a + b omega)(k.a + k.b omega), omega^2 = t omega - n
+        out += (a * k.a - n * b * k.b, a * k.b + b * k.a + t * b * k.b)
+    return out
+
+
 def _z_structure(fld, rows) -> list[list[int]]:
     """Z-generators of the O_L-span of integer rows: each row, then omega times it."""
     if fld.degree == 1:
         return [list(r) for r in rows]
-    t, n = fld.omega_trace, fld.omega_norm
     out = []
     for r in rows:
-        out.append(list(r))
-        w = []
-        for a, b in zip(r[::2], r[1::2]):
-            w += (-n * b, a + t * b)  # omega * (a + b omega)
-        out.append(w)
+        out += (list(r), _scale_row(fld, r, fld.omega))
     return out
 
 
 class QuaternionLattice:
     """A full O_L-lattice in B, canonical basis rows over a common denominator."""
 
-    __slots__ = ("algebra", "rows", "mat", "den", "_inv", "_zrows", "_zhnf", "_gram")
+    __slots__ = ("algebra", "rows", "mat", "den", "_zrows", "_gram")
 
     def __init__(self, algebra: QuaternionAlgebra, rows, den: int):
         fld = algebra.field
@@ -189,9 +195,7 @@ class QuaternionLattice:
             for r in rows
         )
         self.den = den
-        self._inv = None
         self._zrows = None
-        self._zhnf = None
         self._gram = None
 
     # -- construction -------------------------------------------------------
@@ -229,9 +233,6 @@ class QuaternionLattice:
             for row in self.mat
         ]
 
-    def basis_field_matrix(self) -> list[list[FieldElement]]:
-        return [[FieldElement.make(e, self.den) for e in row] for row in self.mat]
-
     def z_rows(self) -> list[list[int]]:
         """Integer rows of the rank-4g Z-structure, interleaved (b_m, omega*b_m)."""
         if self._zrows is None:
@@ -264,37 +265,44 @@ class QuaternionLattice:
 
     # -- membership ----------------------------------------------------------
 
-    def _basis_inverse(self):
-        if self._inv is None:
-            f = self.algebra.field
-            zero, one = f.element(0), f.element(1)
-            self._inv = inverse_generic(self.basis_field_matrix(), zero, one)
-        return self._inv
-
-    def coordinates(self, q: QuaternionElement) -> list[FieldElement]:
-        """Coordinates of q with respect to the lattice basis (may be non-integral)."""
-        inv = self._basis_inverse()
-        v = q.coords()
-        return [sum((v[r] * inv[r][c] for r in range(4)), start=self.algebra.field.element(0)) for c in range(4)]
-
-    def contains(self, q: QuaternionElement) -> bool:
-        """Membership by back-substitution in the integer HNF of the Z-structure."""
-        if self._zhnf is None:
-            # over Q the canonical rows already are that HNF
-            self._zhnf = self.rows if self.algebra.field.degree == 1 else hnf_int(self.z_rows())
+    def coordinates(self, q: QuaternionElement) -> list[AlgebraicInteger]:
+        """Coordinates of q in the lattice basis; raises ValueError unless q is in the lattice."""
         (row,), den = _integer_rows(self.algebra.field.degree, [q])
+        return self._solve(row, den)
+
+    def _solve(self, row, den: int) -> list[AlgebraicInteger]:
+        """Coordinates of the element row/den by back-substitution in the O_L-triangular rows.
+
+        Every step is an exact division in O_L; raises ValueError when one fails.
+        """
+        fld = self.algebra.field
+        g = fld.degree
         w = []
         for c in row:
             v, r = divmod(c * self.den, den)
             if r:
-                return False
+                raise ValueError("element is not in the lattice: coordinates are not integral")
             w.append(v)
-        for i, h in enumerate(self._zhnf):  # square and upper triangular
-            k, r = divmod(w[i], h[i])
-            if r:
-                return False
-            if k:
-                w = [a - k * b for a, b in zip(w, h)]
+        out = []
+        for i, h in enumerate(self.rows):  # h is zero before its pivot, O_L column i
+            if g == 1:
+                q, r = divmod(w[i], h[i])
+                if r:
+                    raise ValueError("element is not in the lattice: coordinates are not integral")
+                k = fld.integer(q)
+            else:
+                k = exact_div(fld.integer(w[2 * i], w[2 * i + 1]), self.mat[i][i])
+            out.append(k)
+            if not k.is_zero():
+                w = [a - b for a, b in zip(w, _scale_row(fld, h, k))]
+        return out
+
+    def contains(self, q: QuaternionElement) -> bool:
+        """Membership: q is in the lattice exactly when its coordinates are in O_L."""
+        try:
+            self.coordinates(q)
+        except ValueError:
+            return False
         return True
 
     def contains_lattice(self, other: QuaternionLattice) -> bool:
@@ -309,6 +317,13 @@ class QuaternionLattice:
         size = 4 * fld.degree
         prods = [_bilinear(mul, r, s, size) for r in self.rows for s in other.rows]
         return QuaternionLattice._from_z_rows(self.algebra, _z_structure(fld, prods), self.den * other.den)
+
+    def product_coordinates(self) -> list[list[tuple[AlgebraicInteger, ...]]]:
+        """Coordinates of b_m * b_n in this basis; raises ValueError unless L*L <= L."""
+        mul = _structure(self.algebra)[0]
+        size = 4 * self.algebra.field.degree
+        sq = self.den * self.den
+        return [[tuple(self._solve(_bilinear(mul, r, s, size), sq)) for s in self.rows] for r in self.rows]
 
     def conjugate(self) -> QuaternionLattice:
         """conj(L): the basis rows with their i, j and k columns negated."""
@@ -364,14 +379,29 @@ class QuaternionLattice:
         return FieldElement.make(-16 * ab * ab * piv * piv, self.den ** 8)
 
     def multiplier_lattice(self, side: str) -> QuaternionLattice:
-        """{x : x*L <= L} for side='left', {x : L*x <= L} for side='right'."""
+        """{x : x*L <= L} for side='left', {x : L*x <= L} for side='right'.
+
+        It is the intersection over the basis b of L*b^-1 (left) or b^-1*L
+        (right).  For b = r/den with n = Nrd(r) = trd_gram()[b][b]/2,
+        b^-1 = conj(r) den sigma(n)/N(n) (sigma the Galois conjugate, 1 over
+        Q), so each piece is spanned by integer products with conj(r) sigma(n)
+        over the denominator N(n).
+        """
+        fld = self.algebra.field
+        g = fld.degree
+        mul = _structure(self.algebra)[0]
+        size = 4 * g
+        gram = self.trd_gram()
         out = None
-        for b in self.basis():
-            nb = b.reduced_norm()
-            binv = b.conjugate().scale(1 / nb)
-            piece_gens = (
-                [r * binv for r in self.basis()] if side == "left" else [binv * r for r in self.basis()]
-            )
-            piece = QuaternionLattice.from_generators(self.algebra, piece_gens)
+        for b, r in enumerate(self.rows):
+            n = fld.integer(*(c // 2 for c in gram[b][b]))
+            inv = r[:g] + tuple(-c for c in r[g:])  # conj(r)
+            if g == 2:
+                inv = _scale_row(fld, inv, n.conjugate())
+            prods = [
+                _bilinear(mul, t, inv, size) if side == "left" else _bilinear(mul, inv, t, size)
+                for t in self.rows
+            ]
+            piece = QuaternionLattice._from_z_rows(self.algebra, _z_structure(fld, prods), n.norm())
             out = piece if out is None else out.intersect(piece)
         return out

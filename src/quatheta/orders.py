@@ -7,7 +7,7 @@ and unit-group weights."""
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,11 +53,7 @@ class Order:
     def structure_constants(self):
         """coords of b_m * b_n in the order basis, as AlgebraicInteger 4-vectors."""
         if self._structure is None:
-            bs = self.basis()
-            self._structure = [
-                [tuple(c.to_integer() for c in self.lattice.coordinates(x * y)) for y in bs]
-                for x in bs
-            ]
+            self._structure = self.lattice.product_coordinates()
         return self._structure
 
     def reduced_discriminant(self) -> AlgebraicInteger:
@@ -170,7 +166,7 @@ class ResidueAlgebra:
             [tuple(self.F.reduce(c) for c in S[m][n]) for n in range(4)] for m in range(4)
         ]
         one = order.lattice.coordinates(order.algebra.one)
-        self.one = tuple(self.F.reduce(c.to_integer()) for c in one)
+        self.one = tuple(self.F.reduce(c) for c in one)
         self.zero = (self.F.zero,) * 4
 
     def mul(self, x, y):
@@ -445,15 +441,19 @@ def _splitting_data(order: Order, prime: PrimeIdeal):
     return A, phi
 
 
-def neighbors(ideal: LeftIdeal, prime: PrimeIdeal) -> list[LeftIdeal]:
-    """The Nq+1 left subideals of q-times-larger norm, indexed by lines of the residue plane."""
+def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> list[LeftIdeal]:
+    """The Nq+1 left subideals of q-times-larger norm, indexed by lines of the residue plane.
+
+    `o_r` is the right order of the ideal, built here when not given.
+    """
     alg = ideal.order.algebra
     fld = alg.field
     if prime.residue_char == alg.p or alg.p % prime.residue_char == 0:
         raise BadPrime(f"{prime!r} divides the level")
     if fld.discriminant % prime.residue_char == 0:
         raise BadPrime(f"{prime!r} ramifies in the base field")
-    o_r = right_order(ideal.lattice)
+    if o_r is None:
+        o_r = right_order(ideal.lattice)
     A, phi = _splitting_data(o_r, prime)
     F = A.F
     lines = [(F.one, F.zero)] + [(c, F.one) for c in F.elements()]
@@ -488,15 +488,33 @@ def is_isomorphic(I: LeftIdeal, J: LeftIdeal, with_witness: bool = False):
     return (False, None) if with_witness else False
 
 
+def _class_key(J: LeftIdeal) -> tuple:
+    """An isomorphism invariant of the class of J: the (nu, count) pairs of
+    the normalized form on conj(J)J up to trace isqrt(p) + 1.
+
+    If J' = Jx then conj(J')J' = conj(x) conj(J)J x.  Nrd scales by
+    Nrd(x)^2 and the canonical normalizer absorbs that up to a totally
+    positive unit eps^2, so z -> eps conj(x) z x preserves the form.
+    """
+    bound = isqrt(J.order.algebra.p) + 1
+    counts = Counter(nu for _, nu in small_norm_elements(hom_module(J, J), bound))
+    return tuple(sorted(counts.items()))
+
+
 @dataclass
 class ClassSet:
-    """A complete list of left ideal class representatives with unit weights."""
+    """A complete list of left ideal class representatives with unit weights.
+
+    `search` holds the enumeration's work counters (candidates, buckets,
+    isomorphism_tests, isomorphism_hits); it is None for a cached set.
+    """
 
     order: Order
     ideals: list[LeftIdeal]
     weights: list[int]
     aux_prime: PrimeIdeal
     mass: Fraction
+    search: dict | None = None
 
     @property
     def size(self) -> int:
@@ -520,7 +538,13 @@ def default_aux_prime(fld: FieldDescriptor, p: int) -> PrimeIdeal:
 
 
 def ideal_classes(order: Order, aux_prime: PrimeIdeal | None = None) -> ClassSet:
-    """Breadth-first enumeration over the neighbor graph, stopped by the mass identity."""
+    """Breadth-first enumeration over the neighbor graph, stopped by the mass identity.
+
+    Representatives are bucketed by `_class_key`, and a candidate is tested
+    with `is_isomorphic` only against its own bucket, in insertion order.
+    Each representative's right order is built once, for its unit weight,
+    and reused to form its neighbors.
+    """
     alg = order.algebra
     fld = alg.field
     if aux_prime is None:
@@ -528,21 +552,37 @@ def ideal_classes(order: Order, aux_prime: PrimeIdeal | None = None) -> ClassSet
     target = mass_formula(order)
     start = unit_ideal(order)
     reps = [start]
+    buckets = {_class_key(start): [start]}
     weights = [unit_weight(order)]
     mass = Fraction(1, weights[0])
-    queue = deque([start])
+    queue = deque([(start, order)])
+    candidates = tests = hits = 0
     while mass < target and queue:
-        current = queue.popleft()
-        for J in neighbors(current, aux_prime):
-            if any(is_isomorphic(J, R) for R in reps):
-                continue
-            reps.append(J)
-            w = unit_weight(right_order(J.lattice))
-            weights.append(w)
-            mass += Fraction(1, w)
-            queue.append(J)
-            if mass > target:
-                raise MassMismatch(f"mass overshot: {mass} > {target}")
+        current, o_r = queue.popleft()
+        for J in neighbors(current, aux_prime, o_r):
+            candidates += 1
+            bucket = buckets.setdefault(_class_key(J), [])
+            for R in bucket:
+                tests += 1
+                if is_isomorphic(J, R):
+                    hits += 1
+                    break
+            else:  # no representative of the bucket is isomorphic to J
+                bucket.append(J)
+                reps.append(J)
+                o_j = right_order(J.lattice)
+                w = unit_weight(o_j)
+                weights.append(w)
+                mass += Fraction(1, w)
+                queue.append((J, o_j))
+                if mass > target:
+                    raise MassMismatch(f"mass overshot: {mass} > {target}")
     if mass != target:
         raise MassMismatch(f"neighbor graph exhausted at mass {mass}, expected {target}")
-    return ClassSet(order, reps, weights, aux_prime, mass)
+    search = {
+        "candidates": candidates,
+        "buckets": len(buckets),
+        "isomorphism_tests": tests,
+        "isomorphism_hits": hits,
+    }
+    return ClassSet(order, reps, weights, aux_prime, mass, search)

@@ -339,8 +339,11 @@ def construct(fld: FieldDescriptor, p: int) -> QuaternionAlgebra:
     """The definite quaternion algebra of prime discriminant p over Q, base-changed to L.
 
     Structure constants come from the classical rational table and every
-    construction is certified by verify_ramification.
+    construction is certified by verify_ramification.  Raises CompositeP
+    unless p is a rational prime.
     """
+    if not is_prime(p):
+        raise CompositeP(f"{p} is not prime")
     if fld.discriminant % p == 0:
         raise RamifiedPrime(f"{p} ramifies in {fld!r}")
     a, b = rational_presentation(p)

@@ -47,7 +47,9 @@ def test_exit_code_level_one_impossible(capsys):
     assert payload["error"] == "LevelOneImpossible"
 
 
-@pytest.mark.parametrize("flag", [["--aux-prime", "4"], ["--hecke", "4"], ["--hecke", "9"], ["--hecke", "2,1"]])
+@pytest.mark.parametrize(
+    "flag", [["--aux-prime", "4"], ["--hecke", "4"], ["--hecke", "9"], ["--hecke", "2,1"], ["--prime", "0"]]
+)
 def test_exit_code_composite_prime(flag, capsys):
     rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
     assert rc == 1
@@ -129,6 +131,16 @@ def test_cache_with_swapped_weights_rejected(tmp_path, capsys):
     assert "stale cache entry" in capsys.readouterr().err
     assert report["timings"]["classes_from_cache"] is False
     assert report_body(report) == json.loads((GOLDEN / "q11_b12.json").read_text())
+
+
+def test_class_search_counts_reported_unless_cached(tmp_path):
+    cfg = RunConfig(d=1, p=37, bound=8, cache_dir=str(tmp_path))
+    cold, warm = run(cfg), run(cfg)
+    assert cold["timings"]["class_search"] == ideal_classes(standard_order(construct(field(1), 37))).search
+    assert set(cold["timings"]["class_search"]) == {"candidates", "buckets", "isomorphism_tests", "isomorphism_hits"}
+    assert warm["timings"]["classes_from_cache"] is True
+    assert warm["timings"]["class_search"] is None
+    assert report_body(cold) == report_body(warm)
 
 
 def test_no_cache_flag(tmp_path):

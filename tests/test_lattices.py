@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatheta.fields import canonical_positive_associate, field, field_gcd
+from quatheta.fields import FieldElement, canonical_positive_associate, field, field_gcd, is_prime
 from quatheta.lattices import QuaternionLattice, hnf_ol
-from quatheta.linalg import det_generic
+from quatheta.linalg import det_generic, inverse_generic
 from quatheta.quadmod import norm_gcd
 from quatheta.quaternions import construct
 
@@ -68,7 +68,15 @@ def test_contains_and_coordinates():
     half = alg.element(*(field(1).element(1, 0, 2),) * 4)
     assert L.contains(half)  # (1+i+j+k)/2 is in the order at p=2
     co = L.coordinates(half)
-    assert all(c.is_integral() for c in co)
+    assert [c.to_element() for c in co] == _reference_coordinates(L, half)
+    rebuilt = alg.zero
+    for c, b in zip(co, L.basis()):
+        rebuilt = rebuilt + b.scale(c.to_element())
+    assert rebuilt == half
+    quarter = alg.element(*(field(1).element(1, 0, 4),) * 4)
+    assert not L.contains(quarter)
+    with pytest.raises(ValueError):
+        L.coordinates(quarter)
 
 
 def test_multiplier_orders_of_ideal():
@@ -185,3 +193,68 @@ def test_norm_gcd_matches_box_search(d, data):
     assert norm_gcd(L, t) == g
     with pytest.raises(ValueError):
         norm_gcd(L, t + 1)  # the determinant certificate is still checked
+
+
+# ---------------------------------------------------------------------------
+# Integer right orders and coordinates against the FieldElement versions they
+# replaced: inverse of the basis matrix, and quaternion inverses b^-1.
+
+
+def _reference_coordinates(L, q):
+    """Coordinates of q through the inverse of the basis matrix over L (may be non-integral)."""
+    F = L.algebra.field
+    basis = [[FieldElement.make(e, L.den) for e in row] for row in L.mat]
+    inv = inverse_generic(basis, F.element(0), F.element(1))
+    v = q.coords()
+    return [sum((v[r] * inv[r][c] for r in range(4)), start=F.element(0)) for c in range(4)]
+
+
+def _reference_multiplier_lattice(L, side):
+    out = None
+    for b in L.basis():
+        binv = b.conjugate().scale(1 / b.reduced_norm())
+        gens = [r * binv for r in L.basis()] if side == "left" else [binv * r for r in L.basis()]
+        piece = QuaternionLattice.from_generators(L.algebra, gens)
+        out = piece if out is None else out.intersect(piece)
+    return out
+
+
+@pytest.mark.parametrize("d,p", [(1, 11), (1, 37), (1, 67), (5, 11), (5, 19)])
+def test_multiplier_lattice_and_coordinates_match_reference(d, p):
+    from quatheta.orders import ideal_classes, standard_order
+
+    O = standard_order(construct(field(d), p))
+    for I in ideal_classes(O).ideals:
+        L = I.lattice
+        for side in ("left", "right"):
+            M = L.multiplier_lattice(side)
+            assert M == _reference_multiplier_lattice(L, side)
+        assert L.multiplier_lattice("left") == O.lattice
+        for b in L.basis():  # integral in the left order
+            co = O.lattice.coordinates(b)
+            assert [c.to_element() for c in co] == _reference_coordinates(O.lattice, b)
+
+
+def test_structure_constants_match_reference():
+    from quatheta.orders import standard_order
+
+    for p in filter(is_prime, range(2, 100)):
+        O = standard_order(construct(field(1), p))
+        bs = O.basis()
+        want = [[tuple(c.to_integer() for c in _reference_coordinates(O.lattice, x * y)) for y in bs] for x in bs]
+        assert O.structure_constants() == want, p
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 5]), data=st.data())
+def test_coordinates_match_reference_or_raise(d, data):
+    alg, gens = data.draw(generator_sets(d))
+    L = _lattice(alg, gens)
+    assume(L is not None)
+    q = data.draw(generator_sets(d))[1][0]
+    want = _reference_coordinates(L, q)
+    if all(c.is_integral() for c in want):
+        assert [c.to_element() for c in L.coordinates(q)] == want
+    else:
+        with pytest.raises(ValueError):
+            L.coordinates(q)

@@ -1,15 +1,17 @@
 """Orders, discriminants, ideals, neighbors, classes, weights, masses."""
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from quatheta.errors import BadPrime, LevelOneImpossible
-from quatheta.fields import field, is_associate, primes_above
+from quatheta.fields import canonical_positive_associate, field, is_associate, primes_above
 from quatheta.lattices import QuaternionLattice
 from quatheta.orders import (
     LeftIdeal,
     Order,
+    _class_key,
     default_aux_prime,
     ideal_classes,
     ideal_norm,
@@ -23,6 +25,7 @@ from quatheta.orders import (
     unit_ideal,
     unit_weight,
 )
+from quatheta.quadmod import degree_module, small_norm_elements
 from quatheta.quaternions import construct
 
 
@@ -217,6 +220,73 @@ def test_default_aux_prime():
 def test_class_numbers_match_closed_formula():
     from oracles import eichler_class_number
 
-    for p in (5, 7, 11, 13, 17, 23, 37, 67):
+    for p in (5, 7, 11, 13, 17, 23, 37, 67, 227, 311, 503):
         cs = ideal_classes(standard_order(construct(field(1), p)))
         assert cs.size == eichler_class_number(p), p
+
+
+# ---------------------------------------------------------------------------
+# Invariant buckets
+
+
+def _right_multiples(I):
+    """I*x for the first few x of the right order with Tr Nrd(x) <= 4g that are not units.
+
+    Short x keep I*x reduced enough for a quick search; the first ones
+    include elements of every small norm.
+    """
+    O = right_order(I.lattice)
+    fld = O.algebra.field
+    mod = degree_module(O.lattice, fld.one)
+    xs = [mod.element(vec) for vec, nu in small_norm_elements(mod, 4 * fld.degree) if nu != (1, 0)]
+    for x in xs[:6]:
+        norm = canonical_positive_associate(I.norm * x.reduced_norm().to_integer())
+        yield LeftIdeal(I.lattice.right_multiply(x), I.order, norm)
+
+
+@pytest.mark.parametrize("d,p", [(1, 67), (5, 11)])
+def test_class_key_is_an_isomorphism_invariant(d, p):
+    cs = ideal_classes(standard_order(construct(field(d), p)))
+    keys = [_class_key(I) for I in cs.ideals]
+    for I, key in zip(cs.ideals, keys):
+        for J in _right_multiples(I):
+            assert is_isomorphic(J, I)
+            assert _class_key(J) == key
+    assert len(set(keys)) > 1  # the key does separate classes
+
+
+def _full_scan_classes(order):
+    """The class enumeration before bucketing: each candidate against every representative."""
+    aux = default_aux_prime(order.algebra.field, order.algebra.p)
+    target = mass_formula(order)
+    reps, weights = [unit_ideal(order)], [unit_weight(order)]
+    mass = Fraction(1, weights[0])
+    queue = deque(reps)
+    while mass < target and queue:
+        for J in neighbors(queue.popleft(), aux):
+            if any(is_isomorphic(J, R) for R in reps):
+                continue
+            reps.append(J)
+            weights.append(unit_weight(right_order(J.lattice)))
+            mass += Fraction(1, weights[-1])
+            queue.append(J)
+    return reps, weights
+
+
+@pytest.mark.parametrize("d,p", [(1, 227), (2, 7), (17, 5), (5, 19)])
+def test_bucketed_classes_equal_full_scan(d, p):
+    O = standard_order(construct(field(d), p))
+    cs = ideal_classes(O)
+    reps, weights = _full_scan_classes(O)
+    assert [(I.lattice, I.norm) for I in cs.ideals] == [(I.lattice, I.norm) for I in reps]
+    assert cs.weights == weights
+    search = cs.search
+    # a candidate is either isomorphic to a representative or a new one
+    assert search["isomorphism_hits"] + cs.size - 1 == search["candidates"]
+    assert search["buckets"] <= cs.size
+    assert search["isomorphism_hits"] <= search["isomorphism_tests"]
+
+
+def test_class_search_counts_at_227():
+    cs = ideal_classes(standard_order(construct(field(1), 227)))
+    assert cs.search == {"candidates": 45, "buckets": 15, "isomorphism_tests": 36, "isomorphism_hits": 26}
