@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
 from .brandt import brandt, hecke_property_suite, cuspidal_eigenvalues, prime_power_index, ramanujan_ok
-from .errors import BadPrime, NotAnOrder, QuathetaError
+from .errors import BadPrime, InvalidConfig, NotAnOrder, QuathetaError
 from .fields import AlgebraicInteger, field, primes_above
 from .lattices import QuaternionLattice
 from .orders import (
@@ -53,11 +53,11 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.mode not in ("level_p", "level_one"):
-            raise ValueError(f"unknown mode {self.mode}")
+            raise InvalidConfig(f"unknown mode {self.mode}")
         if self.bound < 0:
-            raise ValueError("bound must be nonnegative")
+            raise InvalidConfig("bound must be nonnegative")
         if self.workers < 1:
-            raise ValueError("workers must be positive")
+            raise InvalidConfig("workers must be positive")
 
 
 def _coords(x: AlgebraicInteger) -> list[int]:
@@ -217,9 +217,10 @@ def _hecke_primes(cfg: RunConfig, fld) -> tuple[list, list[dict]]:
 def run(cfg: RunConfig) -> dict:
     """Full pipeline; returns the report dict (deterministic body plus timings).
 
-    Raises BadPrime when a requested Hecke prime divides the level p, and
-    CompositeP when one is not prime.  Requested primes whose index trace
-    exceeds the bound are left out and listed in timings["hecke_dropped"].
+    Raises InvalidConfig for an out-of-range option, BadPrime when a
+    requested Hecke prime divides the level p, and CompositeP when one is
+    not prime.  Requested primes whose index trace exceeds the bound are
+    left out and listed in timings["hecke_dropped"].
     """
     cfg.validate()
     timings: dict[str, object] = {}
@@ -368,6 +369,16 @@ def report_body(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timings"}
 
 
+def _parse_hecke(text: str | None) -> tuple[int, ...]:
+    """The integers of the comma-separated --hecke value; raises InvalidConfig when one is not an integer."""
+    if not text:
+        return ()
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise InvalidConfig(f"--hecke takes comma-separated integers, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="quatheta",
@@ -386,27 +397,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-cache", action="store_true")
     args = parser.parse_args(argv)
 
-    hecke = tuple(int(t) for t in args.hecke.split(",")) if args.hecke else ()
-    cfg = RunConfig(
-        d=args.field,
-        p=args.prime,
-        mode=args.mode,
-        bound=args.bound,
-        aux_prime=args.aux_prime,
-        hecke_primes=hecke,
-        out=args.out,
-        cache_dir=args.cache,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-    )
     try:
+        cfg = RunConfig(
+            d=args.field,
+            p=args.prime,
+            mode=args.mode,
+            bound=args.bound,
+            aux_prime=args.aux_prime,
+            hecke_primes=_parse_hecke(args.hecke),
+            out=args.out,
+            cache_dir=args.cache,
+            workers=args.workers,
+            use_cache=not args.no_cache,
+        )
         report = run(cfg)
     except QuathetaError as exc:
-        payload = {"error": exc.code, "message": str(exc)}
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"error": exc.code, "message": str(exc)}, indent=2))
         return 1
-    except ValueError as exc:
-        print(json.dumps({"error": "InvalidConfig", "message": str(exc)}, indent=2))
+    except (ValueError, ArithmeticError) as exc:
+        # a failed internal invariant, not a user error; still a typed payload, never a traceback
+        print(json.dumps({"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}, indent=2))
         return 1
     text = json.dumps(report, indent=2)
     if args.out:

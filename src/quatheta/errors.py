@@ -9,6 +9,10 @@ class QuathetaError(Exception):
         return type(self).__name__
 
 
+class InvalidConfig(QuathetaError):
+    """A run option is malformed or out of range (negative bound, no workers, unparsable primes)."""
+
+
 class UnsupportedField(QuathetaError):
     """Field index d outside the vetted narrow-class-number-one allowlist."""
 

@@ -232,7 +232,7 @@ def _radical_basis(A: ResidueAlgebra) -> list[tuple]:
     for x in nil:
         if all(A.is_nilpotent(A.mul(x, y)) for y in A.elements()):
             rad.append(list(x))
-    return [tuple(v) for v in residue_rowreduce(F, rad)] if rad else []
+    return [tuple(v) for v in residue_rowreduce(F, rad)[0]]
 
 
 def _radical_enlarge(order: Order, prime: PrimeIdeal) -> Order | None:
@@ -413,15 +413,9 @@ def _splitting_data(order: Order, prime: PrimeIdeal):
         raise BadPrime(f"O/{prime!r}O has no nontrivial idempotent; prime not split in the order")
     basis_imgs = [tuple(F.one if m == n else F.zero for n in range(4)) for m in range(4)]
     span = [list(A.mul(e, idem)) for e in basis_imgs]
-    V = residue_rowreduce(F, span)
+    V, pivots = residue_rowreduce(F, span)
     if len(V) != 2:
         raise BadPrime("idempotent module has wrong rank")
-    pivots = []
-    for row in V:
-        for c, val in enumerate(row):
-            if val != F.zero:
-                pivots.append(c)
-                break
 
     def in_V(vec):
         # coordinates w.r.t. the reduced basis V using its pivot columns

@@ -22,7 +22,6 @@ from .fields import (
     is_associate,
 )
 from .lattices import QuaternionLattice
-from .linalg import det_generic, inverse_generic
 from .quaternions import QuaternionElement
 from .shortvec import DEFAULT_CAP, short_vectors
 
@@ -43,7 +42,7 @@ class QuadraticModule:
 
     def value(self, x) -> AlgebraicInteger:
         """Q(x) = Nrd(x)/n for a lattice element."""
-        return (x.reduced_norm() / self.normalizer.to_element()).to_integer()
+        return exact_div(x.reduced_norm().to_integer(), self.normalizer)
 
     def element(self, vec) -> QuaternionElement:
         """The lattice element with Z-coordinates `vec` (in `lattice.z_basis()` order)."""
@@ -57,7 +56,7 @@ class QuadraticModule:
 
     def bilinear(self, x, y) -> AlgebraicInteger:
         """B(x, y) = Q(x+y) - Q(x) - Q(y) = Trd(x conj(y)) / n."""
-        return ((x * y.conjugate()).reduced_trace() / self.normalizer.to_element()).to_integer()
+        return exact_div((x * y.conjugate()).reduced_trace().to_integer(), self.normalizer)
 
 
 def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: int = 0, j: int = 0) -> QuadraticModule:
@@ -93,11 +92,10 @@ def _check_unit_content(mod: QuadraticModule) -> None:
     fld = mod.field
     coeffs = []
     for r in range(4):
-        d = mod.gram[r][r]
-        half = fld.element(d.a, d.b, 2)  # Q(b_r) = B(b_r, b_r)/2
-        if not half.is_integral():
+        d = mod.gram[r][r]  # Q(b_r) = B(b_r, b_r)/2, in O_L iff both coordinates are even
+        if d.a % 2 or d.b % 2:
             raise ValueError("diagonal of the degree form is odd")
-        coeffs.append(half.to_integer())
+        coeffs.append(fld.integer(d.a // 2, d.b // 2))
     coeffs += [mod.gram[r][s] for r in range(4) for s in range(r + 1, 4)]
     g = fld.zero
     for c in coeffs:
@@ -222,29 +220,26 @@ def gram_and_level(mod: QuadraticModule, expected_level: AlgebraicInteger | None
 
     The level is the smallest ideal N such that N * gram^{-1} is integral
     with diagonal in 2*O_L (the classical level of an integral lattice).
+    With gram^{-1} = adj / det, that is N = 2 det / g for g the gcd of 2 det,
+    the adj[r][r] and the 2 adj[r][s] (r != s); all of it in O_L.
     Raises LevelMismatch when an expected level is supplied and differs.
     """
-    fld = mod.field
-    zero, one = fld.element(0), fld.element(1)
-    rows = [[e.to_element() for e in r] for r in mod.gram]
-    det = det_generic(rows, zero).to_integer()
-    inv = inverse_generic(rows, zero, one)
-    level = fld.one
-    for r in range(4):
-        for s in range(4):
-            e = inv[r][s] if r != s else inv[r][s] / fld.element(2)
-            level = _lcm_denominator(level, e)
-    level = canonical_positive_associate(level)
+    G = mod.gram
+    # the Gram is symmetric, so adj[r][s] = adj[s][r] is the (r, s) cofactor
+    adj = {(r, s): _cofactor(G, r, s) for r in range(4) for s in range(r, 4)}
+    det = sum(G[0][s] * adj[0, s] for s in range(4))
+    g = 2 * det
+    for (r, s), c in adj.items():
+        g = field_gcd(g, c if r == s else 2 * c)
+    level = canonical_positive_associate(exact_div(2 * det, g))
     if expected_level is not None and not is_associate(level, expected_level):
         raise LevelMismatch(f"lattice level {level!r}, expected ({expected_level!r})")
     return det, level
 
 
-def _lcm_denominator(cur: AlgebraicInteger, e) -> AlgebraicInteger:
-    """Smallest m (up to units) with (cur) | (m) and m * e integral."""
-    fld = cur.field
-    den = fld.integer(e.den)
-    g = field_gcd(e.num, den)
-    need = (den.to_element() / g.to_element()).to_integer()
-    g2 = field_gcd(cur, need)
-    return ((cur * need).to_element() / g2.to_element()).to_integer()
+def _cofactor(G, r: int, s: int) -> AlgebraicInteger:
+    """(-1)^(r+s) times the 3x3 minor of G without row r and column s."""
+    minor = [[x for t, x in enumerate(row) if t != s] for q, row in enumerate(G) if q != r]
+    (a, b, c), (d, e, f), (g, h, k) = minor
+    m = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    return -m if (r + s) % 2 else m

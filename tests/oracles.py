@@ -76,7 +76,7 @@ def theta_box_scan(mod, bound: int) -> dict[tuple[int, int], int]:
             ga[r][s] = v.a
             gb[r][s] = v.b
             tr[r][s] = v.trace()
-    inv = _fraction_inverse(tr)
+    inv = inverse_generic([[Fraction(x) for x in row] for row in tr], Fraction(0), Fraction(1))
     radii = []
     for i in range(n):
         bound_sq = 2 * bound * inv[i][i]
@@ -106,19 +106,61 @@ def theta_box_scan(mod, bound: int) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _fraction_inverse(m):
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+def det_generic(rows, zero):
+    """Determinant by cofactor expansion along the first row, over any exact ring."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    out = zero
+    for j in range(n):
+        a = rows[0][j]
+        if a == zero:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = a * det_generic(minor, zero)
+        out = out - term if j % 2 else out + term
+    return out
+
+
+def inverse_generic(rows, zero, one):
+    """Inverse of a square matrix over any exact field type, by Gauss-Jordan elimination."""
+    n = len(rows)
+    m = [list(r) + [one if j == i else zero for j in range(n)] for i, r in enumerate(rows)]
     for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
+        sel = next((i for i in range(col, n) if m[i][col] != zero), None)
+        if sel is None:
+            raise ZeroDivisionError("singular matrix")
+        m[col], m[sel] = m[sel], m[col]
+        pv = m[col][col]
+        m[col] = [a / pv for a in m[col]]
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            if i != col and m[i][col] != zero:
+                c = m[i][col]
+                m[i] = [a - c * b for a, b in zip(m[i], m[col])]
+    return [r[n:] for r in m]
+
+
+def gram_level_by_inverse(fld, gram):
+    """(det, level) of an integral Gram over O_L through its FieldElement inverse.
+
+    The level is the lcm of the denominators of the entries of gram^{-1},
+    with the diagonal halved: the smallest N with N * gram^{-1} integral and
+    of even diagonal.
+    """
+    from quatheta.fields import canonical_positive_associate, field_gcd
+
+    zero, one = fld.element(0), fld.element(1)
+    rows = [[e.to_element() for e in r] for r in gram]
+    det = det_generic(rows, zero).to_integer()
+    inv = inverse_generic(rows, zero, one)
+    level = fld.one
+    for r in range(4):
+        for s in range(4):
+            e = inv[r][s] if r != s else inv[r][s] / fld.element(2)
+            den = fld.integer(e.den)
+            need = (den.to_element() / field_gcd(e.num, den).to_element()).to_integer()
+            level = ((level * need).to_element() / field_gcd(level, need).to_element()).to_integer()
+    return det, canonical_positive_associate(level)
 
 
 def hilbert_symbol_ring_scan(fld, a, b, prime, k: int) -> int:

@@ -58,6 +58,32 @@ def test_exit_code_composite_prime(flag, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--hecke", "2,,3"], ["--hecke", "x"], ["--bound", "-1"], ["--workers", "0"]]
+)
+def test_exit_code_invalid_config(flag, capsys):
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "InvalidConfig"
+    assert "Traceback" not in captured.err
+
+
+def test_internal_failure_is_not_invalid_config(monkeypatch, capsys):
+    # an invariant failing inside the pipeline is reported as such, not blamed on the input
+    def fail(cfg):
+        raise ArithmeticError("invariant broken")
+
+    monkeypatch.setattr("quatheta.cli.run", fail)
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["error"] == "InternalError"
+    assert "invariant broken" in payload["message"]
+    assert "Traceback" not in captured.err
+
+
 def test_hecke_prime_dividing_level_is_bad_prime(capsys):
     rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--hecke", "11"])
     assert rc == 1

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from quatheta.fields import FieldElement, canonical_positive_associate, field, field_gcd, is_prime
 from quatheta.lattices import QuaternionLattice, hnf_ol
-from quatheta.linalg import det_generic, inverse_generic
 from quatheta.quadmod import norm_gcd
 from quatheta.quaternions import construct
+
+from oracles import det_generic, inverse_generic
 
 
 def _maximal_order_lattice(d, p):

@@ -1,15 +1,20 @@
 """Hom modules: integrality, primitivity, definiteness, levels, multiplicativity."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatheta.errors import LevelMismatch
 from quatheta.fields import field, field_gcd, is_associate
 from quatheta.orders import ideal_classes, level_one_order, standard_order, unit_weight
-from quatheta.quadmod import gram_and_level, hom_module
+from quatheta.quadmod import gram_and_level, hom_module, hom_modules
 from quatheta.quaternions import construct
 from quatheta.theta import theta
+
+from oracles import gram_level_by_inverse
 
 
 def _classes(d, p, mode="level_p"):
@@ -37,6 +42,29 @@ def test_gram_determinant_and_level_eleven():
             assert level.coords() == (11, 0)
     with pytest.raises(LevelMismatch):
         gram_and_level(m, F.one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 5]), data=st.data())
+def test_gram_and_level_matches_inverse_reference(d, data):
+    # random positive definite integral Grams A^T A + D over O_L
+    F = field(d)
+    coef = st.integers(-3, 3)
+    A = [[F.integer(data.draw(coef), data.draw(coef) if d > 1 else 0) for _ in range(4)] for _ in range(4)]
+    D = [data.draw(st.integers(1, 6)) for _ in range(4)]
+    G = tuple(
+        tuple(sum((A[k][r] * A[k][s] for k in range(4)), F.zero) + (D[r] if r == s else 0) for s in range(4))
+        for r in range(4)
+    )
+    assert gram_and_level(SimpleNamespace(gram=G)) == gram_level_by_inverse(F, G)
+
+
+@pytest.mark.parametrize("d,p", [(1, 67), (5, 11)])
+def test_gram_and_level_matches_inverse_reference_on_hom_modules(d, p):
+    F = field(d)
+    for row in hom_modules(_classes(d, p).ideals):
+        for m in row:
+            assert gram_and_level(m, F.integer(p)) == gram_level_by_inverse(F, m.gram)
 
 
 def test_unit_value_detects_isomorphism():

@@ -7,13 +7,12 @@ import pytest
 
 from quatheta.errors import IncompatibleBounds
 from quatheta.fields import field
-from quatheta.linalg import det_generic
 from quatheta.orders import ideal_classes, level_one_order, standard_order
 from quatheta.quadmod import hom_module, hom_modules, trace_form
 from quatheta.quaternions import construct
 from quatheta.theta import theta, theta_difference, theta_matrix
 
-from oracles import eta_product_coefficients, theta_box_scan
+from oracles import det_generic, eta_product_coefficients, theta_box_scan
 
 
 def _classes(d, p, mode="level_p"):
