@@ -25,8 +25,11 @@ from .orders import (
     Order,
     default_aux_prime,
     ideal_classes,
+    ideal_norm,
+    left_order,
     level_one_order,
     mass_formula,
+    pairwise_nonisomorphic,
     right_order,
     standard_order,
     unit_weight,
@@ -70,19 +73,20 @@ def _cache_key(cfg: RunConfig, aux) -> str:
 
 
 def _serialize_classes(order: Order, classes: ClassSet) -> dict:
-    """Ideal bases as integer matrices of coordinates in the order basis."""
+    """Ideal bases as integer matrices of coordinates in the order basis.
+
+    Over Q(sqrt d) each basis row is followed by the coordinates of omega
+    times it, and a reader takes every other row.
+    """
     fld = order.algebra.field
     items = []
     for ideal, w in zip(classes.ideals, classes.weights):
         rows = []
-        for b in ideal.lattice.basis():
-            co = order.lattice.coordinates(b)
-            if fld.degree == 1:
-                rows.append([c.a for c in co])
-            else:
-                rows.append([v for c in co for v in (c.a, c.b)])
-                wrow = [fld.omega * c for c in co]
-                rows.append([v for c in wrow for v in (c.a, c.b)])
+        for r in ideal.lattice.rows:
+            co = order.lattice._solve(r, ideal.lattice.den)
+            rows.append([v for c in co for v in c.coords()[: fld.degree]])
+            if fld.degree == 2:
+                rows.append([v for c in co for v in (fld.omega * c).coords()])
         items.append({"basis": rows, "weight": w, "norm": _coords(ideal.norm)})
     return {
         "schema": SCHEMA_VERSION,
@@ -92,27 +96,24 @@ def _serialize_classes(order: Order, classes: ClassSet) -> dict:
 
 
 def _deserialize_classes(order: Order, payload: dict, aux) -> ClassSet | None:
+    """The cached class set, or None unless it is one: every norm is recomputed,
+    every left order must be `order`, the weights must be the recomputed ones
+    and sum to the mass, and no two ideals may be isomorphic."""
     fld = order.algebra.field
+    g = fld.degree
     try:
         if payload["schema"] != SCHEMA_VERSION:
             return None
         ideals, weights = [], []
         for item in payload["classes"]:
-            rows = item["basis"]
-            gens = []
-            step = 2 if fld.degree == 2 else 1
-            for r in rows[::step]:
-                if fld.degree == 1:
-                    coeffs = [fld.integer(c) for c in r]
-                else:
-                    coeffs = [fld.integer(r[2 * t], r[2 * t + 1]) for t in range(4)]
-                q = None
-                for c, b in zip(coeffs, order.basis()):
-                    term = b.scale(c.to_element())
-                    q = term if q is None else q + term
-                gens.append(q)
-            lat = QuaternionLattice.from_generators(order.algebra, gens)
-            norm = fld.integer(*item["norm"])
+            basis, norm = item["basis"][::g], item["norm"]
+            if any(type(v) is not int for v in [*norm, *(v for r in basis for v in r)]):
+                return None
+            rows = [order.lattice.combine([fld.integer(*r[c : c + g]) for c in range(0, 4 * g, g)]) for r in basis]
+            lat = QuaternionLattice.from_rows(order.algebra, rows, order.lattice.den)
+            norm = fld.integer(*norm)
+            if ideal_norm(lat, order) != norm or left_order(lat) != order:
+                return None
             ideals.append(LeftIdeal(lat, order, norm))
             weights.append(int(item["weight"]))
         mass = sum(Fraction(1, w) for w in weights)
@@ -120,6 +121,8 @@ def _deserialize_classes(order: Order, payload: dict, aux) -> ClassSet | None:
             return None
         # a weight swap keeps the mass: every cached weight is recomputed
         if any(unit_weight(right_order(I.lattice)) != w for I, w in zip(ideals, weights)):
+            return None
+        if not pairwise_nonisomorphic(ideals):
             return None
         return ClassSet(order, ideals, weights, aux, mass)
     except (KeyError, ValueError, TypeError, IndexError, NotAnOrder):

@@ -515,22 +515,14 @@ class PrimeIdeal:
             return ((x.a + x.b * self.root) % ell, 0)
         return (x.a % ell, x.b % ell)
 
-    def contains(self, x: AlgebraicInteger) -> bool:
-        return self.reduce_coords(x) == (0, 0)
-
     def valuation(self, x: AlgebraicInteger) -> int:
+        """The number of exact divisions of x by the generator."""
         if x.is_zero():
             raise ValueError("valuation of zero")
         v = 0
-        y = x.to_element()
-        while True:
-            if not y.is_integral() or not self.contains(y.to_integer()):
-                return v
-            y = y / self.generator.to_element()
-            if y.is_integral():
-                v += 1
-            else:
-                return v
+        while (x := _quotient(x, self.generator)) is not None:
+            v += 1
+        return v
 
     def residue_field(self) -> ResidueField:
         return ResidueField(self)

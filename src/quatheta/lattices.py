@@ -184,16 +184,11 @@ def _z_structure(fld, rows) -> list[list[int]]:
 class QuaternionLattice:
     """A full O_L-lattice in B, canonical basis rows over a common denominator."""
 
-    __slots__ = ("algebra", "rows", "mat", "den", "_zrows", "_gram")
+    __slots__ = ("algebra", "rows", "den", "_zrows", "_gram")
 
     def __init__(self, algebra: QuaternionAlgebra, rows, den: int):
-        fld = algebra.field
         self.algebra = algebra
         self.rows = rows  # 4 integer rows of length 4g (canonical HNF)
-        self.mat = tuple(  # the same rows as 4 AlgebraicInteger each
-            tuple(fld.integer(*r[c : c + fld.degree]) for c in range(0, len(r), fld.degree))
-            for r in rows
-        )
         self.den = den
         self._zrows = None
         self._gram = None
@@ -202,7 +197,11 @@ class QuaternionLattice:
 
     @staticmethod
     def from_generators(algebra: QuaternionAlgebra, gens: list[QuaternionElement]) -> QuaternionLattice:
-        rows, den = _integer_rows(algebra.field.degree, gens)
+        return QuaternionLattice.from_rows(algebra, *_integer_rows(algebra.field.degree, gens))
+
+    @staticmethod
+    def from_rows(algebra: QuaternionAlgebra, rows, den: int) -> QuaternionLattice:
+        """The lattice spanned over O_L by the elements row/den, for integer rows of length 4g."""
         return QuaternionLattice._from_z_rows(algebra, _z_structure(algebra.field, rows), den)
 
     @staticmethod
@@ -226,6 +225,13 @@ class QuaternionLattice:
         return QuaternionLattice(algebra, tuple(tuple(r) for r in rows), den)
 
     # -- basic views ---------------------------------------------------------
+
+    @property
+    def mat(self) -> tuple[tuple[AlgebraicInteger, ...], ...]:
+        """The basis rows as 4 AlgebraicIntegers each."""
+        fld = self.algebra.field
+        g = fld.degree
+        return tuple(tuple(fld.integer(*r[c : c + g]) for c in range(0, len(r), g)) for r in self.rows)
 
     def basis(self) -> list[QuaternionElement]:
         return [
@@ -291,10 +297,19 @@ class QuaternionLattice:
                     raise ValueError("element is not in the lattice: coordinates are not integral")
                 k = fld.integer(q)
             else:
-                k = exact_div(fld.integer(w[2 * i], w[2 * i + 1]), self.mat[i][i])
+                k = exact_div(fld.integer(w[2 * i], w[2 * i + 1]), fld.integer(h[2 * i], h[2 * i + 1]))
             out.append(k)
             if not k.is_zero():
                 w = [a - b for a, b in zip(w, _scale_row(fld, h, k))]
+        return out
+
+    def combine(self, coeffs) -> list[int]:
+        """The integer row, over den, of sum c_m b_m for c_m in O_L; the inverse of `_solve`."""
+        fld = self.algebra.field
+        out = [0] * (4 * fld.degree)
+        for c, r in zip(coeffs, self.rows):
+            if not c.is_zero():
+                out = [a + b for a, b in zip(out, _scale_row(fld, r, c))]
         return out
 
     def contains(self, q: QuaternionElement) -> bool:
@@ -316,7 +331,7 @@ class QuaternionLattice:
         mul = _structure(self.algebra)[0]
         size = 4 * fld.degree
         prods = [_bilinear(mul, r, s, size) for r in self.rows for s in other.rows]
-        return QuaternionLattice._from_z_rows(self.algebra, _z_structure(fld, prods), self.den * other.den)
+        return QuaternionLattice.from_rows(self.algebra, prods, self.den * other.den)
 
     def product_coordinates(self) -> list[list[tuple[AlgebraicInteger, ...]]]:
         """Coordinates of b_m * b_n in this basis; raises ValueError unless L*L <= L."""
@@ -329,7 +344,7 @@ class QuaternionLattice:
         """conj(L): the basis rows with their i, j and k columns negated."""
         g = self.algebra.field.degree
         rows = [r[:g] + tuple(-c for c in r[g:]) for r in self.rows]
-        return QuaternionLattice._from_z_rows(self.algebra, _z_structure(self.algebra.field, rows), self.den)
+        return QuaternionLattice.from_rows(self.algebra, rows, self.den)
 
     def scale(self, c) -> QuaternionLattice:
         return QuaternionLattice.from_generators(self.algebra, [b.scale(c) for b in self.basis()])
@@ -366,17 +381,20 @@ class QuaternionLattice:
             )
         return self._gram
 
-    def det_pairing(self) -> FieldElement:
-        """Determinant of the Trd(x * y) pairing; its ideal is the squared reduced discriminant.
+    def discriminant(self) -> AlgebraicInteger:
+        """4ab (product of the pivots) / den^4; raises ValueError unless it is in O_L.
 
-        The basis is triangular over (1, i, j, k), whose pairing is
-        diag(2, 2a, 2b, -2ab), so the determinant is
-        -16 a^2 b^2 (product of the pivots)^2 / den^8.
+        The basis is triangular over (1, i, j, k), whose Trd(x * y) pairing
+        is diag(2, 2a, 2b, -2ab), so the pairing determinant of the basis is
+        -16 a^2 b^2 (product of the pivots)^2 / den^8, minus the square of
+        this value.  For an order it generates the reduced discriminant.
         """
         m = self.mat
-        piv = m[0][0] * m[1][1] * m[2][2] * m[3][3]
-        ab = self.algebra.a * self.algebra.b
-        return FieldElement.make(-16 * ab * ab * piv * piv, self.den ** 8)
+        x = 4 * self.algebra.a * self.algebra.b * m[0][0] * m[1][1] * m[2][2] * m[3][3]
+        q = self.den ** 4
+        if x.a % q or x.b % q:
+            raise ValueError("discriminant is not integral")
+        return self.algebra.field.integer(x.a // q, x.b // q)
 
     def multiplier_lattice(self, side: str) -> QuaternionLattice:
         """{x : x*L <= L} for side='left', {x : L*x <= L} for side='right'.
@@ -402,6 +420,6 @@ class QuaternionLattice:
                 _bilinear(mul, t, inv, size) if side == "left" else _bilinear(mul, inv, t, size)
                 for t in self.rows
             ]
-            piece = QuaternionLattice._from_z_rows(self.algebra, _z_structure(fld, prods), n.norm())
+            piece = QuaternionLattice.from_rows(self.algebra, prods, n.norm())
             out = piece if out is None else out.intersect(piece)
         return out

@@ -20,16 +20,15 @@ from .fields import (
     PrimeIdeal,
     canonical_positive_associate,
     divides,
-    enumerate_totally_positive,
     exact_div,
     is_associate,
     is_prime,
     primes_above,
 )
-from .lattices import QuaternionLattice
+from .lattices import QuaternionLattice, _scale_row
 from .linalg import residue_nullspace, residue_rowreduce
-from .quadmod import degree_module, hom_module, norm_gcd, small_norm_elements
-from .quaternions import QuaternionAlgebra, QuaternionElement, verify_ramification
+from .quadmod import degree_module, hom_module, lattice_norm, small_norm_elements
+from .quaternions import QuaternionAlgebra, verify_ramification
 from .shortvec import short_vectors  # noqa: F401  (unused; perfbench/test_perfbench.py reads this binding)
 
 
@@ -58,16 +57,12 @@ class Order:
 
     def reduced_discriminant(self) -> AlgebraicInteger:
         """Canonical totally positive d(O) with d(O)^2 = det Trd(b_i b_j) as ideals."""
-        if self._disc is not None:
-            return self._disc
-        det = self.lattice.det_pairing()
-        if not det.is_integral():
-            raise NotAnOrder("pairing determinant is not integral")
-        d = _ideal_sqrt(det.to_integer())
-        if d is None:
-            raise NotAnOrder("pairing determinant is not an ideal square")
-        self._disc = d
-        return d
+        if self._disc is None:
+            try:
+                self._disc = canonical_positive_associate(self.lattice.discriminant())
+            except ValueError:
+                raise NotAnOrder("discriminant is not integral") from None
+        return self._disc
 
     def __eq__(self, other):
         return isinstance(other, Order) and self.lattice == other.lattice
@@ -77,26 +72,6 @@ class Order:
 
     def __repr__(self):
         return f"Order({self.lattice!r})"
-
-
-def _ideal_sqrt(det: AlgebraicInteger) -> AlgebraicInteger | None:
-    """Canonical totally positive s with (s)^2 = (det), if the ideal is a square."""
-    fld = det.field
-    if fld.degree == 1:
-        n = abs(det.a)
-        s = isqrt(n)
-        return fld.integer(s) if s * s == n else None
-    target = abs(det.norm())
-    ns = isqrt(target)
-    if ns * ns != target:
-        return None
-    bound = 2 * isqrt(ns) + 2
-    while bound < 16 * (ns + 2):
-        for s in enumerate_totally_positive(fld, bound)[1:]:
-            if s.norm() == ns and is_associate(s * s, det):
-                return s
-        bound *= 2
-    return None
 
 
 @dataclass(frozen=True)
@@ -130,24 +105,12 @@ def right_order(lat: QuaternionLattice) -> Order:
 def ideal_norm(lat: QuaternionLattice, order: "Order | None" = None) -> AlgebraicInteger:
     """Canonical totally positive generator of the ideal generated by all Nrd values.
 
-    The 4th root of the determinant ratio to the right order certifies
-    completeness of the gcd that norm_gcd accumulates.
+    `order` is the left or right order of the lattice (the right order when
+    not given); its discriminant certifies the norm (`lattice_norm`).
     """
-    fld = lat.algebra.field
-    det = lat.det_pairing()
     if order is None:
         order = right_order(lat)
-    ratio = det / order.lattice.det_pairing()
-    nval = abs(
-        ratio.norm().numerator if fld.degree == 2 else ratio.coords()[0].numerator
-    )
-    dval = ratio.norm().denominator if fld.degree == 2 else ratio.coords()[0].denominator
-    if dval != 1:
-        raise ValueError("determinant ratio is not integral")
-    t = isqrt(isqrt(nval))
-    if t ** 4 != nval:
-        raise ValueError("determinant ratio is not a fourth power")
-    return norm_gcd(lat, t)
+    return lattice_norm(lat, order.reduced_discriminant())
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +131,8 @@ class ResidueAlgebra:
         one = order.lattice.coordinates(order.algebra.one)
         self.one = tuple(self.F.reduce(c) for c in one)
         self.zero = (self.F.zero,) * 4
+        # the images of the order basis b_m
+        self.basis = [tuple(self.F.one if m == n else self.F.zero for n in range(4)) for m in range(4)]
 
     def mul(self, x, y):
         F = self.F
@@ -200,16 +165,13 @@ class ResidueAlgebra:
         y = self.mul(y, y)
         return y == self.zero
 
-    def lift(self, vec) -> QuaternionElement:
-        """A lattice element reducing to the given coordinate vector."""
-        fld = self.order.algebra.field
-        out = None
-        for c, b in zip(vec, self.order.basis()):
-            if c == self.F.zero:
-                continue
-            term = b.scale(fld.element(c[0], c[1] if fld.degree == 2 else 0))
-            out = term if out is None else out + term
-        return out if out is not None else self.order.algebra.zero
+    def preimage(self, vecs) -> QuaternionLattice:
+        """q*O plus lifts of the coordinate vectors: the lattice between qO and O that reduces to their span."""
+        L = self.order.lattice
+        fld = L.algebra.field
+        rows = [_scale_row(fld, r, self.prime.generator) for r in L.rows]
+        rows += [L.combine([fld.integer(*c) for c in v]) for v in vecs]
+        return QuaternionLattice.from_rows(L.algebra, rows, L.den)
 
 
 def _radical_basis(A: ResidueAlgebra) -> list[tuple]:
@@ -241,10 +203,7 @@ def _radical_enlarge(order: Order, prime: PrimeIdeal) -> Order | None:
     rad = _radical_basis(A)
     if not rad:
         return None
-    pi = prime.generator.to_element()
-    gens = [b.scale(pi) for b in order.basis()] + [A.lift(v) for v in rad]
-    J = QuaternionLattice.from_generators(order.algebra, gens)
-    return Order(J.multiplier_lattice("right"))
+    return Order(A.preimage(rad).multiplier_lattice("right"))
 
 
 def _idempotent_enlarge(order: Order, prime: PrimeIdeal) -> Order | None:
@@ -258,13 +217,8 @@ def _idempotent_enlarge(order: Order, prime: PrimeIdeal) -> Order | None:
     idem = A.first_idempotent()
     if idem is None:
         return None
-    rad = _radical_basis(A)
-    pi = prime.generator.to_element()
-    e = A.lift(idem)
-    gens = [b.scale(pi) for b in order.basis()] + [A.lift(v) for v in rad] + [
-        b * e for b in order.basis()
-    ]
-    P = QuaternionLattice.from_generators(order.algebra, gens)
+    # O*e reduces to the span of the b_m * idem
+    P = A.preimage(_radical_basis(A) + [A.mul(b, idem) for b in A.basis])
     return Order(P.multiplier_lattice("left"))
 
 
@@ -286,16 +240,11 @@ def _saturate_at(order: Order, prime: PrimeIdeal, target_val: int) -> Order:
             raise NotAnOrder(f"saturation made no progress at {prime!r}")
 
 
-_MAXIMAL_SEEDS = {
-    # p -> (denominator, rows of integer coordinates w.r.t. (1, i, j, k))
-    2: (2, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)]),
-}
-
-
 def _rational_maximal_rows(p: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Denominator and basis rows of the classical maximal order of the rational algebra."""
+    """Denominator and basis rows, in coordinates on (1, i, j, k), of the
+    classical maximal order of the rational algebra."""
     if p == 2:
-        return _MAXIMAL_SEEDS[2]
+        return (2, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)])
     if p % 4 == 3:
         return (2, [(1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)])
     return (1, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
@@ -312,11 +261,8 @@ def standard_order(alg: QuaternionAlgebra) -> Order:
     """
     fld = alg.field
     den, rows = _rational_maximal_rows(alg.p)
-    gens = [
-        alg.element(*[fld.element(c, 0, den) for c in row])
-        for row in rows
-    ]
-    order = Order(QuaternionLattice.from_generators(alg, gens))
+    rows = [[v for c in row for v in (c, 0)[: fld.degree]] for row in rows]
+    order = Order(QuaternionLattice.from_rows(alg, rows, den))
     target = fld.integer(alg.p)
     disc = order.reduced_discriminant()
     surplus = exact_div(disc, target)
@@ -411,8 +357,7 @@ def _splitting_data(order: Order, prime: PrimeIdeal):
     idem = A.first_idempotent()
     if idem is None:
         raise BadPrime(f"O/{prime!r}O has no nontrivial idempotent; prime not split in the order")
-    basis_imgs = [tuple(F.one if m == n else F.zero for n in range(4)) for m in range(4)]
-    span = [list(A.mul(e, idem)) for e in basis_imgs]
+    span = [list(A.mul(e, idem)) for e in A.basis]
     V, pivots = residue_rowreduce(F, span)
     if len(V) != 2:
         raise BadPrime("idempotent module has wrong rank")
@@ -427,7 +372,7 @@ def _splitting_data(order: Order, prime: PrimeIdeal):
 
     # phi[m] = 2x2 matrix of left multiplication by basis image e_m on V
     phi = []
-    for e in basis_imgs:
+    for e in A.basis:
         cols = []
         for v in V:
             cols.append(in_V(A.mul(e, tuple(v))))
@@ -451,7 +396,6 @@ def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> 
     A, phi = _splitting_data(o_r, prime)
     F = A.F
     lines = [(F.one, F.zero)] + [(c, F.one) for c in F.elements()]
-    pi = prime.generator.to_element()
     out = []
     for (u, v) in lines:
         rows = []
@@ -460,9 +404,7 @@ def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> 
         null = residue_nullspace(F, rows)
         if len(null) != 2:
             raise ArithmeticError("line kernel has wrong dimension")
-        gens = [b.scale(pi) for b in o_r.basis()] + [A.lift(tuple(w)) for w in null]
-        P = QuaternionLattice.from_generators(alg, gens)
-        J = ideal.lattice.multiply(P)
+        J = ideal.lattice.multiply(A.preimage(null))
         norm = canonical_positive_associate(prime.generator * ideal.norm)
         out.append(LeftIdeal(J, ideal.order, norm))
     return out
@@ -493,6 +435,17 @@ def _class_key(J: LeftIdeal) -> tuple:
     bound = isqrt(J.order.algebra.p) + 1
     counts = Counter(nu for _, nu in small_norm_elements(hom_module(J, J), bound))
     return tuple(sorted(counts.items()))
+
+
+def pairwise_nonisomorphic(ideals: list[LeftIdeal]) -> bool:
+    """True when no two of the ideals are isomorphic; only ideals with equal `_class_key` are tested."""
+    buckets: dict[tuple, list[LeftIdeal]] = {}
+    for J in ideals:
+        bucket = buckets.setdefault(_class_key(J), [])
+        if any(is_isomorphic(J, R) for R in bucket):
+            return False
+        bucket.append(J)
+    return True
 
 
 @dataclass

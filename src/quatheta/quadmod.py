@@ -79,7 +79,7 @@ def hom_module(I_i, I_j, i: int = 0, j: int = 0) -> QuadraticModule:
     of its norm makes the form integral with unit content.
     """
     K = I_j.lattice.conjugate().multiply(I_i.lattice)
-    return degree_module(K, _hom_lattice_norm(K, I_i.order.reduced_discriminant()), i, j)
+    return degree_module(K, lattice_norm(K, I_i.order.reduced_discriminant()), i, j)
 
 
 def hom_modules(ideals) -> list[list[QuadraticModule]]:
@@ -109,21 +109,16 @@ def _check_unit_content(mod: QuadraticModule) -> None:
 # Reduced norms of lattices
 
 
-def _hom_lattice_norm(K: QuaternionLattice, order_disc: AlgebraicInteger) -> AlgebraicInteger:
-    """Reduced norm of a product lattice conj(J)*I, certified by determinants."""
-    fld = K.algebra.field
-    det = K.det_pairing()
-    dn = det.norm() if fld.degree == 2 else det.coords()[0]
-    # |N(det(K))| = N(norm)^4 * N(disc)^2
-    nval = abs(dn.numerator)
-    if dn.denominator != 1:
-        raise ValueError("non-integral product lattice determinant")
-    base = nval // (order_disc.norm() ** 2)
-    if base * (order_disc.norm() ** 2) != nval:
-        raise ValueError("determinant certificate failed")
-    t = isqrt(isqrt(base))
-    if t ** 4 != base:
-        raise ValueError("determinant ratio is not a fourth power")
+def lattice_norm(K: QuaternionLattice, order_disc: AlgebraicInteger) -> AlgebraicInteger:
+    """Reduced norm of a lattice K that is an ideal of orders of reduced discriminant `order_disc`.
+
+    d(K) = n^2 d(O) as ideals for n the norm, so the discriminant certifies
+    |N(n)| = t with |N(d(K))| = t^2 |N(d(O))|; `norm_gcd` then finds n.
+    """
+    t2, r = divmod(abs(K.discriminant().norm()), abs(order_disc.norm()))
+    t = isqrt(t2)
+    if r or t * t != t2:
+        raise ValueError("discriminant ratio is not a square")
     return norm_gcd(K, t)
 
 

@@ -163,35 +163,60 @@ def gram_level_by_inverse(fld, gram):
     return det, canonical_positive_associate(level)
 
 
+def _quotient(x, y):
+    """x / y when y divides x in O_L, else None: x conj(y) over the rational integer y conj(y)."""
+    num, n = x * y.conjugate(), (y * y.conjugate()).a
+    if num.a % n or num.b % n:
+        return None
+    return x.field.integer(num.a // n, num.b // n)
+
+
 def hilbert_symbol_ring_scan(fld, a, b, prime, k: int) -> int:
     """Primitive solvability of z^2 = a x^2 + b y^2 over O_L / q^k by full search.
 
-    Independent of the production case analysis; only usable when the
-    residue ring is small.
+    Independent of the production case analysis and of its residue rings:
+    O_L / q^k is represented by the box of the 2x2 integer HNF of the ideal
+    (gen^k), with AlgebraicInteger products reduced into it.  Only usable
+    when the residue ring is small.
     """
-    from quatheta.quaternions import _ResidueRing
+    m = prime.generator ** k
+    if fld.degree == 1:
+        h00, h01, h11 = abs(m.a), 0, 1
+    else:  # Z-basis m, m*omega of (m); HNF from the gcd of its first column
+        mw = m * fld.omega
+        g, s, t = _xgcd(m.a, mw.a)
+        h00 = g
+        h11 = abs(m.a * mw.b - mw.a * m.b) // g
+        h01 = (s * m.b + t * mw.b) % h11
 
-    ring = _ResidueRing(prime, k)
-    elems = list(ring.elements())
-    ra, rb = ring.reduce(a), ring.reduce(b)
-    squares_all = set()
-    squares_unit = set()
-    for z in elems:
-        s = ring.mul(z, z)
-        squares_all.add(s)
-        if ring.is_unit(z):
-            squares_unit.add(s)
-    for x in elems:
-        ax2 = ring.mul(ra, ring.mul(x, x))
-        xu = ring.is_unit(x)
-        for y in elems:
-            val = ring.add(ax2, ring.mul(rb, ring.mul(y, y)))
-            if xu or ring.is_unit(y):
-                if val in squares_all:
-                    return 1
-            elif val in squares_unit:
+    def reduce(u: int, v: int) -> tuple[int, int]:
+        """The representative of u + v*omega in the HNF box."""
+        q = u // h00
+        return (u - q * h00, (v - q * h01) % h11)
+
+    def unit(x) -> bool:
+        return _quotient(x, prime.generator) is None
+
+    elems = [fld.integer(u, v) for u in range(h00) for v in range(h11)]
+    squares_all = {reduce(*(z * z).coords()) for z in elems}
+    squares_unit = {reduce(*(z * z).coords()) for z in elems if unit(z)}
+    ax2 = {(reduce(*(a * x * x).coords()), unit(x)) for x in elems}
+    by2 = {(reduce(*(b * y * y).coords()), unit(y)) for y in elems}
+    for (u0, u1), x_unit in ax2:
+        for (v0, v1), y_unit in by2:
+            if reduce(u0 + v0, u1 + v1) in (squares_all if x_unit or y_unit else squares_unit):
                 return 1
     return -1
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def classical_genus_table() -> dict[int, int]:
@@ -240,7 +265,9 @@ def ideal_divisor_norm_sum(fld, nu) -> int:
         seen.add(n)
     for ell in sorted(seen):
         for P in primes_above(fld, ell):
-            v = P.valuation(nu)
+            v, x = 0, nu
+            while (x := _quotient(x, P.generator)) is not None:
+                v += 1
             if v:
                 out *= sum(P.norm ** t for t in range(v + 1))
     return out

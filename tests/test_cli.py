@@ -159,6 +159,39 @@ def test_cache_with_swapped_weights_rejected(tmp_path, capsys):
     assert report_body(report) == json.loads((GOLDEN / "q11_b12.json").read_text())
 
 
+def test_cache_round_trip_over_quadratic_field(tmp_path):
+    # over Q(sqrt d) each cached basis row is followed by omega times it
+    cfg = RunConfig(d=5, p=11, bound=6, cache_dir=str(tmp_path))
+    cold, warm = run(cfg), run(cfg)
+    assert warm["timings"]["classes_from_cache"] is True
+    assert report_body(cold) == report_body(warm)
+
+
+def _wrong_norm(payload):
+    # (Q,11): the mass and the weights still hold
+    assert payload["classes"][1]["norm"] == [2, 0]
+    payload["classes"][1]["norm"] = [7, 0]
+
+
+def _duplicate_class(payload):
+    # (Q,37): classes 1 and 2 both have norm 2 and weight 1, so only an isomorphism test tells them apart
+    payload["classes"][2]["basis"] = payload["classes"][1]["basis"]
+
+
+@pytest.mark.parametrize("p,edit", [(11, _wrong_norm), (37, _duplicate_class)])
+def test_cache_with_unverified_class_rejected(tmp_path, capsys, p, edit):
+    cfg = dict(d=1, p=p, bound=12, cache_dir=str(tmp_path))
+    cold = report_body(run(RunConfig(**cfg)))
+    (entry,) = tmp_path.glob("classes_*.json")
+    payload = json.loads(entry.read_text())
+    edit(payload)
+    entry.write_text(json.dumps(payload))
+    report = run(RunConfig(**cfg))
+    assert "stale cache entry" in capsys.readouterr().err
+    assert report["timings"]["classes_from_cache"] is False
+    assert report_body(report) == cold
+
+
 def test_class_search_counts_reported_unless_cached(tmp_path):
     cfg = RunConfig(d=1, p=37, bound=8, cache_dir=str(tmp_path))
     cold, warm = run(cfg), run(cfg)
@@ -209,6 +242,15 @@ def test_repeated_hecke_prime_checked_once(tmp_path):
     rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--hecke", "2,2", "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["config"]["hecke"] == [[2, 0]]
+
+
+def test_module_entry_point():
+    # `python -m quatheta` runs the driver and writes nothing to stderr
+    cmd = [sys.executable, "-m", "quatheta", "--field", "1", "--prime", "11", "--bound", "12", "--no-cache"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert report_body(json.loads(proc.stdout)) == json.loads((GOLDEN / "q11_b12.json").read_text())
 
 
 def test_import_leaves_sympy_unloaded():

@@ -162,15 +162,49 @@ def test_multiply_and_conjugate_match_quaternion_products(d, data):
     assert L1.conjugate() == QuaternionLattice.from_generators(alg, [x.conjugate() for x in L1.basis()])
 
 
-@settings(max_examples=30, deadline=None)
+@st.composite
+def full_rank_generator_sets(draw, d):
+    """An algebra over Q(sqrt d) and 4 to 6 random elements spanning a full lattice.
+
+    The first four are triangular over (1, i, j, k) with nonzero diagonal.
+    """
+    F = field(d)
+    alg = construct(F, 11)
+    small = st.integers(-4, 4)
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+
+    def coeff(nonzero=False):
+        c = F.element(draw(small), draw(small) if d > 1 else 0, den)
+        return F.element(draw(st.integers(1, 4)), 0, den) if nonzero and c.is_zero() else c
+
+    gens = [
+        alg.element(*[F.element(0) if c < m else coeff(c == m) for c in range(4)]) for m in range(4)
+    ]
+    gens += [alg.element(*[coeff() for _ in range(4)]) for _ in range(draw(st.integers(0, 2)))]
+    return alg, gens
+
+
+@settings(max_examples=40, deadline=None)
 @given(d=st.sampled_from([1, 5]), data=st.data())
-def test_det_pairing_matches_cofactor_expansion(d, data):
-    alg, gens = data.draw(generator_sets(d))
-    L = _lattice(alg, gens)
-    assume(L is not None)
-    bs = L.basis()
-    pairing = [[(x * y).reduced_trace() for y in bs] for x in bs]
-    assert L.det_pairing() == det_generic(pairing, alg.field.element(0))
+def test_discriminant_matches_cofactor_expansion(d, data):
+    """16 (ab prod pivots)^2 = -den^8 det Trd(b_r b_s), in integers, and discriminant() = 4ab prod pivots / den^4."""
+    alg, gens = data.draw(full_rank_generator_sets(d))
+    L = QuaternionLattice.from_generators(alg, gens)
+    F, g = alg.field, alg.field.degree
+    # den * b_r as quaternions with integer coordinates; den^2 Trd(b_r b_s) = Trd(r_r r_s)
+    ints = [alg.element(*[F.element(*row[c : c + g]) for c in range(0, 4 * g, g)]) for row in L.rows]
+    det = det_generic([[(x * y).reduced_trace().to_integer() for y in ints] for x in ints], F.zero)
+    piv = F.one
+    for r, row in enumerate(L.mat):
+        piv = piv * row[r]
+    ab = alg.a * alg.b
+    assert 16 * (ab * piv) ** 2 == -det
+    x, q = 4 * ab * piv, L.den ** 4
+    if x.a % q == 0 and x.b % q == 0:
+        assert L.discriminant() == F.integer(x.a // q, x.b // q)
+    else:
+        with pytest.raises(ValueError):
+            L.discriminant()
 
 
 # coefficients of the box the norm gcd used to search before it was read off the Gram
@@ -255,7 +289,11 @@ def test_coordinates_match_reference_or_raise(d, data):
     q = data.draw(generator_sets(d))[1][0]
     want = _reference_coordinates(L, q)
     if all(c.is_integral() for c in want):
-        assert [c.to_element() for c in L.coordinates(q)] == want
+        co = L.coordinates(q)
+        assert [c.to_element() for c in co] == want
+        row, g = L.combine(co), alg.field.degree  # combine inverts coordinates
+        got = [FieldElement.make(alg.field.integer(*row[c : c + g]), L.den) for c in range(0, 4 * g, g)]
+        assert got == list(q.coords())
     else:
         with pytest.raises(ValueError):
             L.coordinates(q)

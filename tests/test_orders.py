@@ -2,11 +2,19 @@
 
 from collections import deque
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from quatheta.errors import BadPrime, LevelOneImpossible
-from quatheta.fields import canonical_positive_associate, field, is_associate, primes_above
+from quatheta.fields import (
+    canonical_positive_associate,
+    enumerate_totally_positive,
+    field,
+    is_associate,
+    is_prime,
+    primes_above,
+)
 from quatheta.lattices import QuaternionLattice
 from quatheta.orders import (
     LeftIdeal,
@@ -25,8 +33,10 @@ from quatheta.orders import (
     unit_ideal,
     unit_weight,
 )
-from quatheta.quadmod import degree_module, small_norm_elements
+from quatheta.quadmod import degree_module, norm_gcd, small_norm_elements
 from quatheta.quaternions import construct
+
+from oracles import det_generic
 
 
 def test_standard_order_discriminants():
@@ -290,3 +300,107 @@ def test_bucketed_classes_equal_full_scan(d, p):
 def test_class_search_counts_at_227():
     cs = ideal_classes(standard_order(construct(field(1), 227)))
     assert cs.search == {"candidates": 45, "buckets": 15, "isomorphism_tests": 36, "isomorphism_hits": 26}
+
+
+# ---------------------------------------------------------------------------
+# Discriminants, valuations and ideal norms against the FieldElement versions
+# they replaced: the pairing determinant and its ideal square root, the
+# valuation by FieldElement division, and the determinant-ratio norm.
+
+
+def _reference_pairing_det(lat):
+    bs = lat.basis()
+    return det_generic([[(x * y).reduced_trace() for y in bs] for x in bs], lat.algebra.field.element(0))
+
+
+def _reference_ideal_sqrt(det):
+    """Canonical totally positive s with (s)^2 = (det), if the ideal is a square."""
+    fld = det.field
+    if fld.degree == 1:
+        n = abs(det.a)
+        s = isqrt(n)
+        return fld.integer(s) if s * s == n else None
+    target = abs(det.norm())
+    ns = isqrt(target)
+    if ns * ns != target:
+        return None
+    bound = 2 * isqrt(ns) + 2
+    while bound < 16 * (ns + 2):
+        for s in enumerate_totally_positive(fld, bound)[1:]:
+            if s.norm() == ns and is_associate(s * s, det):
+                return s
+        bound *= 2
+    return None
+
+
+def _reference_discriminant(order):
+    return _reference_ideal_sqrt(_reference_pairing_det(order.lattice).to_integer())
+
+
+def _reference_valuation(P, x):
+    v = 0
+    y = x.to_element()
+    while True:
+        if not y.is_integral() or P.reduce_coords(y.to_integer()) != (0, 0):
+            return v
+        y = y / P.generator.to_element()
+        if y.is_integral():
+            v += 1
+        else:
+            return v
+
+
+def _reference_ideal_norm(lat, order):
+    ratio = _reference_pairing_det(lat) / _reference_pairing_det(order.lattice)
+    n = ratio.norm() if lat.algebra.field.degree == 2 else ratio.coords()[0]
+    assert n.denominator == 1
+    t = isqrt(isqrt(abs(n.numerator)))
+    assert t ** 4 == abs(n.numerator)
+    return norm_gcd(lat, t)
+
+
+def _check_order_against_reference(O):
+    disc = O.reduced_discriminant()
+    assert disc == _reference_discriminant(O)
+    F = O.algebra.field
+    for ell in (2, 3, 5, 7, 11, O.algebra.p):
+        for P in primes_above(F, ell):
+            assert P.valuation(disc) == _reference_valuation(P, disc)
+
+
+def _check_classes_against_reference(O):
+    _check_order_against_reference(O)
+    for I in ideal_classes(O).ideals:
+        O_r = right_order(I.lattice)
+        _check_order_against_reference(O_r)
+        assert ideal_norm(I.lattice, O) == _reference_ideal_norm(I.lattice, O) == I.norm
+        assert ideal_norm(I.lattice) == _reference_ideal_norm(I.lattice, O_r) == I.norm
+
+
+def test_discriminants_and_norms_match_reference_over_q():
+    for p in filter(is_prime, range(2, 200)):
+        _check_classes_against_reference(standard_order(construct(field(1), p)))
+
+
+@pytest.mark.parametrize(
+    "d,p,level_one",
+    [(2, 7, False), (2, 3, True), (5, 2, False), (5, 2, True), (5, 3, True), (5, 11, False), (5, 19, False),
+     (13, 3, False), (17, 5, False), (17, 3, False)],
+)
+def test_discriminants_and_norms_match_reference_over_quadratic_fields(d, p, level_one):
+    alg = construct(field(d), p)
+    _check_classes_against_reference(level_one_order(alg) if level_one else standard_order(alg))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 17])
+def test_valuation_matches_reference(d):
+    F = field(d)
+    for ell in (2, 3, 5, 7, 13):
+        for P in primes_above(F, ell):
+            for a in range(-12, 13):
+                for b in range(-12, 13) if d > 1 else (0,):
+                    x = F.integer(a, b)
+                    for k in range(3):
+                        if not x.is_zero():
+                            assert P.valuation(x) == _reference_valuation(P, x)
+                        x = x * P.generator
