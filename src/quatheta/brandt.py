@@ -182,8 +182,9 @@ class Eigenvalue:
         return self.interval
 
 
-def cuspidal_eigenvalues(classes: ClassSet, thetas, prime: PrimeIdeal) -> list[Eigenvalue]:
-    """Eigenvalues of B(q) on the complement of the Eisenstein line.
+def cuspidal_eigenvalues(charpoly: list[int], prime: PrimeIdeal) -> list[Eigenvalue]:
+    """Eigenvalues of B(q) on the complement of the Eisenstein line, from the
+    coefficients of its characteristic polynomial (leading first).
 
     The all-ones vector is an eigenvector with eigenvalue Nq+1; the cuspidal
     part is read off the characteristic polynomial divided by that factor.
@@ -192,10 +193,8 @@ def cuspidal_eigenvalues(classes: ClassSet, thetas, prime: PrimeIdeal) -> list[E
     """
     import sympy
 
-    M = brandt(classes, thetas, prime_power_index(prime, 1))
     x = sympy.Symbol("x")
-    coeffs = M.charpoly()
-    poly = sympy.Poly(coeffs, x)
+    poly = sympy.Poly(charpoly, x)
     eis = sympy.Poly([1, -(prime.norm + 1)], x)
     quo, rem = sympy.div(poly, eis, x)
     if not rem.is_zero:

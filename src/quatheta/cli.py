@@ -150,13 +150,17 @@ def cache_store(cfg: RunConfig, order: Order, classes: ClassSet) -> None:
     if not cfg.use_cache or not cfg.cache_dir:
         return
     path = Path(cfg.cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
     target = path / f"classes_{_cache_key(cfg, classes.aux_prime)}.json"
     text = json.dumps(_serialize_classes(order, classes), sort_keys=True)
-    # readers never see a half-written entry: write a temp file, then rename it
-    with tempfile.NamedTemporaryFile("w", dir=path, prefix=target.stem, suffix=".tmp", delete=False) as fh:
-        fh.write(text)
-    os.replace(fh.name, target)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        # readers never see a half-written entry: write a temp file, then rename it
+        with tempfile.NamedTemporaryFile("w", dir=path, prefix=target.stem, suffix=".tmp", delete=False) as fh:
+            fh.write(text)
+        os.replace(fh.name, target)
+    except OSError as exc:
+        # the report does not depend on the cache, so an unusable cache path only warns
+        print(f"warning: could not write cache entry {target}: {exc}", file=sys.stderr)
 
 
 def _default_hecke(fld, p: int, bound: int) -> list:
@@ -287,13 +291,14 @@ def run(cfg: RunConfig) -> dict:
     brandt_blocks = []
     for P in hecke:
         M = brandt(classes, thetas, prime_power_index(P, 1))
-        evs = cuspidal_eigenvalues(classes, thetas, P) if H >= 2 else []
+        charpoly = M.charpoly()
+        evs = cuspidal_eigenvalues(charpoly, P) if H >= 2 else []
         brandt_blocks.append(
             {
                 "prime": _coords(P.generator),
                 "norm": P.norm,
                 "matrix": [list(r) for r in M.entries],
-                "charpoly": M.charpoly(),
+                "charpoly": charpoly,
                 "cuspidal": [
                     {
                         "minpoly": list(e.minpoly),
@@ -414,6 +419,12 @@ def main(argv: list[str] | None = None) -> int:
             use_cache=not args.no_cache,
         )
         report = run(cfg)
+        text = json.dumps(report, indent=2)
+        if args.out:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise InvalidConfig(f"cannot write the report to {args.out}: {exc}") from None
     except QuathetaError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}, indent=2))
         return 1
@@ -421,10 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         # a failed internal invariant, not a user error; still a typed payload, never a traceback
         print(json.dumps({"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}, indent=2))
         return 1
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         print(text)
     return 0 if report["all_checks_pass"] else 2
 

@@ -659,16 +659,3 @@ def prime_splitting(fld: FieldDescriptor, p: int) -> list[tuple[int, AlgebraicIn
         raise RamifiedPrime(f"{p} ramifies in {fld!r}")
     return [(P.f, P.generator) for P in primes_above(fld, p)]
 
-
-def hensel_root(fld: FieldDescriptor, prime: PrimeIdeal, modulus: int) -> int:
-    """Lift the residue root of omega's minimal polynomial to the given ell-power modulus."""
-    t, n = fld.omega_trace, fld.omega_norm
-    r = prime.root
-    if r is None:
-        raise ValueError("no root: inert prime")
-    m = prime.residue_char
-    while m < modulus:
-        m = min(m * m, modulus)
-        fp = (2 * r - t) % m
-        r = (r - (r * r - t * r + n) * pow(fp, -1, m)) % m
-    return r % modulus

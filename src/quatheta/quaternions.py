@@ -1,6 +1,6 @@
 """The totally definite quaternion algebra ramified at p and all real places,
 base-changed to L, with exact reduced norm/trace/conjugation and a
-brute-force local certification of its ramification set."""
+certificate of its ramification set from closed-form local Hilbert symbols."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     PrimeIdeal,
-    exact_div,
-    hensel_root,
     is_prime,
     primes_above,
 )
@@ -153,148 +151,45 @@ class QuaternionElement:
 
 
 # ---------------------------------------------------------------------------
-# Local solvability of z^2 = a x^2 + b y^2 (Hilbert symbols by finite search)
+# Local Hilbert symbols of rational structure constants, in closed form
 
 
-class _ResidueRing:
-    """O_L / q^k, elements as coordinate pairs with per-coordinate moduli."""
-
-    def __init__(self, prime: PrimeIdeal, k: int):
-        fld = prime.field
-        ell = prime.residue_char
-        self.prime = prime
-        if prime.e == 2 and ell != 2:
-            if k != 1:
-                raise NotImplementedError("odd ramified rings are only needed at k=1")
-            self.m0 = ell
-            self.m1 = 1
-            self._mode = "rank1"
-            self._root = prime.root
-        elif prime.e == 2:
-            # O_L = Z[sqrt(2)]; (sqrt2)^k = 2^(k//2) * sqrt(2)^(k%2)
-            self.m0 = 2 ** ((k + 1) // 2)
-            self.m1 = 2 ** (k // 2)
-            self._mode = "ram2"
-        elif prime.f == 2:
-            self.m0 = self.m1 = ell ** k
-            self._mode = "inert"
-            self._wt = fld.omega_trace % self.m0
-            self._wn = fld.omega_norm % self.m0
-        else:
-            self.m0 = ell ** k
-            self.m1 = 1
-            self._mode = "rank1"
-            self._root = 0 if fld.degree == 1 else hensel_root(fld, prime, self.m0)
-        self.ell = ell
-
-    def elements(self):
-        for u in range(self.m0):
-            for v in range(self.m1):
-                yield (u, v)
-
-    def reduce(self, x: AlgebraicInteger):
-        if self._mode == "rank1":
-            return ((x.a + x.b * getattr(self, "_root", 0)) % self.m0, 0)
-        return (x.a % self.m0, x.b % self.m1)
-
-    def add(self, p, q):
-        return ((p[0] + q[0]) % self.m0, (p[1] + q[1]) % self.m1)
-
-    def mul(self, p, q):
-        if self._mode == "rank1":
-            return ((p[0] * q[0]) % self.m0, 0)
-        if self._mode == "ram2":
-            return (
-                (p[0] * q[0] + 2 * p[1] * q[1]) % self.m0,
-                (p[0] * q[1] + p[1] * q[0]) % self.m1,
-            )
-        bb = p[1] * q[1]
-        return (
-            (p[0] * q[0] - self._wn * bb) % self.m0,
-            (p[0] * q[1] + p[1] * q[0] + self._wt * bb) % self.m1,
-        )
-
-    def is_unit(self, p) -> bool:
-        if self._mode == "inert":
-            return p[0] % self.ell != 0 or p[1] % self.ell != 0
-        return p[0] % self.ell != 0
+def _split_off(x: int, ell: int) -> tuple[int, int]:
+    """(alpha, u) with x = ell^alpha * u and u prime to ell."""
+    alpha = 0
+    while x % ell == 0:
+        x //= ell
+        alpha += 1
+    return alpha, x
 
 
-def _search_even_ring(ring: _ResidueRing, a, b) -> bool:
-    """Primitive solvability of z^2 = a x^2 + b y^2 over a 2-adic residue ring."""
-    elems = list(ring.elements())
-    sq_all = set()
-    sq_unit = set()
-    for z in elems:
-        s = ring.mul(z, z)
-        sq_all.add(s)
-        if ring.is_unit(z):
-            sq_unit.add(s)
-    ra, rb = ring.reduce(a), ring.reduce(b)
-    ax2 = [(ring.mul(ra, ring.mul(x, x)), ring.is_unit(x)) for x in elems]
-    for y in elems:
-        by2 = ring.mul(rb, ring.mul(y, y))
-        y_unit = ring.is_unit(y)
-        for v, x_unit in ax2:
-            need = ring.add(v, by2)
-            if x_unit or y_unit:
-                if need in sq_all:
-                    return True
-            elif need in sq_unit:
-                return True
-    return False
+def _rational_hilbert_symbol(a: int, b: int, ell: int) -> int:
+    """(a, b)_ell over Q_ell for nonzero integers (Serre, A Course in Arithmetic, III Thm. 1)."""
+    alpha, u = _split_off(a, ell)
+    beta, v = _split_off(b, ell)
+    if ell != 2:
+        sign = -1 if alpha * beta * (ell - 1) // 2 % 2 else 1
+        return sign * _legendre(u, ell) ** beta * _legendre(v, ell) ** alpha
 
+    def eps(x):
+        return (x - 1) // 2 % 2
 
-def _square_classes_odd(F) -> set:
-    return {F.mul(x, x) for x in F.elements() if x != F.zero}
+    def omega(x):
+        return (x * x - 1) // 8 % 2
+
+    return -1 if (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)) % 2 else 1
 
 
 def hilbert_symbol(fld: FieldDescriptor, a: AlgebraicInteger, b: AlgebraicInteger, prime: PrimeIdeal) -> int:
-    """The local Hilbert symbol (a, b) at a finite prime, by finite search.
+    """The local Hilbert symbol (a, b) at a finite prime of L, for rational integers a, b.
 
-    Odd primes: after stripping square uniformizer factors the valuations of
-    a and b are 0 or 1, and solvability reduces to a search over the residue
-    field (a smooth conic always has a point there; with one coefficient of
-    valuation one the binary part must represent a square).  Even primes:
-    direct primitive-solution search modulo q^k with k large enough that a
-    primitive solution is Hensel-liftable.
+    For a, b in Q_ell and a prime of local degree n = e f over ell,
+    (a, b)_prime = (a, N(b))_ell = (a, b)_ell^n.  Raises ValueError unless a
+    and b are nonzero rational integers.
     """
-    va, vb = prime.valuation(a), prime.valuation(b)
-    gen2 = prime.generator * prime.generator
-    while va >= 2:
-        a = exact_div(a, gen2)
-        va -= 2
-    while vb >= 2:
-        b = exact_div(b, gen2)
-        vb -= 2
-    if vb > va:
-        a, b, va, vb = b, a, vb, va  # symbol is symmetric
-    if prime.residue_char != 2:
-        F = prime.residue_field()
-        squares = _square_classes_odd(F)
-        if va == 0 and vb == 0:
-            # smooth conic over a finite field: a point always exists; find one
-            ra, rb = F.reduce(a), F.reduce(b)
-            for x in F.elements():
-                ax2 = F.mul(ra, F.mul(x, x))
-                for y in F.elements():
-                    if x == F.zero and y == F.zero:
-                        continue
-                    v = F.add(ax2, F.mul(rb, F.mul(y, y)))
-                    if v == F.zero or v in squares:
-                        return 1
-            raise ArithmeticError("no point on a smooth conic over a finite field")
-        if va == 1 and vb == 0:
-            # z^2 = a x^2 + b y^2 with val(a)=1: primitive solutions force
-            # z^2 = b y^2 mod q with (y, z) != 0, i.e. b a square in the residue field
-            rb = F.reduce(b)
-            return 1 if rb in squares else -1
-        # va = vb = 1: (a, b) = (a, -a b) and val(-a b) = 2, strip and recurse
-        bb = exact_div(-(a * b), gen2)
-        return hilbert_symbol(fld, a, bb, prime)
-    k = 9 if prime.e == 2 else 6
-    ring = _ResidueRing(prime, k)
-    return 1 if _search_even_ring(ring, a, b) else -1
+    if a.b or b.b or a.is_zero() or b.is_zero():
+        raise ValueError(f"Hilbert symbol needs nonzero rational integers, got {a!r}, {b!r}")
+    return _rational_hilbert_symbol(a.a, b.a, prime.residue_char) ** (prime.e * prime.f)
 
 
 @lru_cache(maxsize=None)
@@ -308,23 +203,18 @@ def verify_ramification(alg: QuaternionAlgebra) -> tuple[PrimeIdeal, ...]:
     fld = alg.field
     if not (-alg.a).is_totally_positive() or not (-alg.b).is_totally_positive():
         raise RamificationMismatch("structure constants must be totally negative")
-    cands: dict[tuple[int, int], PrimeIdeal] = {}
-    rationals = {2, alg.p}
-    for c in (alg.a.norm(), alg.b.norm()):
-        c = abs(c)
-        f = 2
-        while f * f <= c:
-            while c % f == 0:
-                rationals.add(f)
-                c //= f
-            f += 1
-        if c > 1:
-            rationals.add(c)
-    for ell in sorted(rationals):
-        for P in primes_above(fld, ell):
-            cands[P.generator.coords()] = P
+    rationals = {2}
+    c = abs(alg.a.a * alg.b.a)
+    f = 2
+    while f * f <= c:
+        while c % f == 0:
+            rationals.add(f)
+            c //= f
+        f += 1
+    if c > 1:
+        rationals.add(c)
     ramified = [
-        P for _, P in sorted(cands.items()) if hilbert_symbol(fld, alg.a, alg.b, P) == -1
+        P for ell in rationals for P in primes_above(fld, ell) if hilbert_symbol(fld, alg.a, alg.b, P) == -1
     ]
     expected = [P for P in primes_above(fld, alg.p) if P.f % 2 == 1]
     if {P.generator.coords() for P in ramified} != {P.generator.coords() for P in expected}:

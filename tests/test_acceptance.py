@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from quatheta.basis import classical_dimension, hilbert_consistency, span_rank
-from quatheta.brandt import cuspidal_eigenvalues, hecke_property_suite
+from quatheta.brandt import brandt, cuspidal_eigenvalues, hecke_property_suite, prime_power_index
 from quatheta.cli import RunConfig, _default_hecke, report_body, run
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, mass_formula, standard_order
@@ -87,7 +87,8 @@ def test_criterion_3_eigenvalue_oracle():
     eta = eta_product_coefficients(11, 8)
     expected = {2: -2, 3: -1, 5: 1, 7: -2}
     for q, val in expected.items():
-        evs = cuspidal_eigenvalues(cs, thetas, primes_above(field(1), q)[0])
+        P = primes_above(field(1), q)[0]
+        evs = cuspidal_eigenvalues(brandt(cs, thetas, prime_power_index(P, 1)).charpoly(), P)
         ok = len(evs) == 1 and evs[0].exact == val == eta[q]
         _report(
             f"criterion 3: cuspidal eigenvalue at {q}",

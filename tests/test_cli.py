@@ -220,6 +220,28 @@ def test_cache_store_replaces_entry_atomically(tmp_path):
     assert got is not None and got.weights == classes.weights
 
 
+def test_cache_path_that_is_a_file_only_warns(tmp_path, capsys):
+    blocker = tmp_path / "q11.json"
+    blocker.write_text("not a directory")
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--cache", str(blocker)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert report_body(json.loads(captured.out)) == json.loads((GOLDEN / "q11_b12.json").read_text())
+    assert "warning: could not write cache entry" in captured.err
+    assert "Traceback" not in captured.err
+    assert blocker.read_text() == "not a directory"
+
+
+def test_unwritable_out_path_is_invalid_config(tmp_path, capsys):
+    blocker = tmp_path / "q11.json"
+    blocker.write_text("")
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--no-cache", "--out", str(blocker / "x.json")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert json.loads(captured.out)["error"] == "InvalidConfig"
+    assert captured.err == ""
+
+
 def test_schema_bump_invalidates(tmp_path):
     cfg = dict(d=1, p=11, bound=10, cache_dir=str(tmp_path))
     run(RunConfig(**cfg))
