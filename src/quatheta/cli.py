@@ -418,11 +418,14 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             use_cache=not args.no_cache,
         )
+        out = Path(args.out) if args.out else None
+        if out and (out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK))):
+            raise InvalidConfig(f"cannot write the report to {args.out}: not a file in a writable directory")
         report = run(cfg)
         text = json.dumps(report, indent=2)
-        if args.out:
+        if out:
             try:
-                Path(args.out).write_text(text)
+                out.write_text(text)
             except OSError as exc:
                 raise InvalidConfig(f"cannot write the report to {args.out}: {exc}") from None
     except QuathetaError as exc:

@@ -428,24 +428,6 @@ def field_gcd(x: AlgebraicInteger, y: AlgebraicInteger) -> AlgebraicInteger:
     return canonical_positive_associate(x)
 
 
-def field_xgcd(x: AlgebraicInteger, y: AlgebraicInteger) -> tuple[AlgebraicInteger, AlgebraicInteger, AlgebraicInteger]:
-    """(g, s, t) with s*x + t*y = g and (g) = (x, y), g canonical positive."""
-    f = x.field
-    r0, r1 = x, y
-    s0, s1 = f.one, f.zero
-    t0, t1 = f.zero, f.one
-    while not r1.is_zero():
-        q, r = euclid_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    g = canonical_positive_associate(r0)
-    if r0.is_zero():
-        return g, s0, t0
-    u = exact_div(g, r0)  # unit
-    return g, s0 * u, t0 * u
-
-
 def totally_positive_units_mod_squares(fld: FieldDescriptor) -> frozenset[AlgebraicInteger]:
     """The trivial group {1}, after certifying that every totally positive unit is a square.
 

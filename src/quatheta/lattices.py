@@ -9,7 +9,8 @@ Arithmetic runs on integer rows.  An element of O_L^4 is a row of 4g
 integers, the coordinates (a, b) of a + b*omega for t, x, y, z in turn (b
 left out over Q); products and the Gram of a basis come from the algebra's
 structure constants on that Z-basis.  Every HNF is the integer HNF of the
-rank-4g Z-structure; over Q(sqrt d) `hnf_ol` then turns its 8 rows into 4.
+rank-4g Z-structure; over Q(sqrt d) `hnf_ol` reads the O_L-HNF off it, one
+O_L row from each pair of integer rows.
 """
 
 from __future__ import annotations
@@ -17,82 +18,38 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fields import (
-    AlgebraicInteger,
-    FieldElement,
-    canonical_positive_associate,
-    exact_div,
-    field_xgcd,
-)
+from .fields import AlgebraicInteger, FieldElement, exact_div, field_gcd
 from .linalg import hnf_int, kernel_int
 from .quaternions import QuaternionAlgebra, QuaternionElement
 
 
-def _ideal_box(pivot: AlgebraicInteger) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Integer HNF basis of the principal ideal (pivot) in coordinates (a, b)."""
-    if pivot.field.degree == 1:
-        p = abs(pivot.a)
-        return ((p, 0), (0, p))
-    w = pivot.field.omega * pivot
-    rows = hnf_int([[pivot.a, pivot.b], [w.a, w.b]])
-    return (tuple(rows[0]), tuple(rows[1]))
+def hnf_ol(fld, zrows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form over O_L, for L = Q(sqrt d), read off the integer HNF.
 
-
-def _reduce_mod_pivot(e: AlgebraicInteger, pivot: AlgebraicInteger) -> AlgebraicInteger:
-    """Canonical representative of e modulo the ideal (pivot)."""
-    r0, r1 = _ideal_box(pivot)
-    a, b = e.a, e.b
-    q0 = a // r0[0]
-    a -= q0 * r0[0]
-    b -= q0 * r0[1]
-    q1 = b // r1[1]
-    b -= q1 * r1[1]
-    return e.field.integer(a, b)
-
-
-def hnf_ol(fld, rows: list[list[AlgebraicInteger]], ncols: int = 4) -> list[list[AlgebraicInteger]]:
-    """Row Hermite normal form over O_L.
-
-    Pivots are canonical totally positive generators of the column ideals,
-    entries above a pivot are reduced into the pivot's fundamental box, and
-    zero rows are dropped.  Idempotent, hence canonical.
+    `zrows` span the Z-structure of an O_L-module, the (a, b) of each O_L
+    column side by side.  Its integer HNF comes in pairs of rows (r0, r1)
+    with pivots at the (a, b) of one O_L column c, and the block
+    [[alpha, beta], [0, delta]] is the Z-basis of the column ideal I_c
+    (Cohen, GTM 193, §1.4).  Each pair gives one O_L row m*r0 + n*r1 whose
+    pivot is the canonical totally positive generator of I_c, and each entry
+    above it is reduced by the pair into the box [0, alpha) x [0, delta).
+    Returns these integer rows, zero rows dropped; canonical, hence idempotent.
     """
-    m = [list(r) for r in rows if any(not e.is_zero() for e in r)]
-    piv = 0
-    for col in range(ncols):
-        while True:
-            nz = [i for i in range(piv, len(m)) if not m[i][col].is_zero()]
-            if not nz:
-                break
-            if len(nz) == 1:
-                i = nz[0]
-                m[piv], m[i] = m[i], m[piv]
-                break
-            i, j = nz[0], nz[1]
-            a, b = m[i][col], m[j][col]
-            g, s, t = field_xgcd(a, b)
-            u, v = exact_div(a, g), exact_div(b, g)
-            ri = [s * x + t * y for x, y in zip(m[i], m[j])]
-            rj = [u * y - v * x for x, y in zip(m[i], m[j])]
-            m[i], m[j] = ri, rj
-        if piv >= len(m) or m[piv][col].is_zero():
-            continue
-        p = m[piv][col]
-        cp = canonical_positive_associate(p)
-        if cp != p:
-            u = exact_div(cp, p)
-            m[piv] = [u * x for x in m[piv]]
-        p = m[piv][col]
-        for i in range(piv):
-            e = m[i][col]
-            if e.is_zero():
-                continue
-            r = _reduce_mod_pivot(e, p)
-            mu = exact_div(e - r, p)
-            if not mu.is_zero():
-                m[i] = [x - mu * y for x, y in zip(m[i], m[piv])]
-        piv += 1
-    return m[:piv]
+    h = hnf_int(zrows)
+    out = []
+    for r0, r1 in zip(h[::2], h[1::2]):
+        c = next(i for i, x in enumerate(r0) if x)
+        alpha, beta, delta = r0[c], r0[c + 1], r1[c + 1]
+        g = field_gcd(fld.integer(alpha, beta), fld.integer(0, delta))
+        m = g.a // alpha
+        n = (g.b - m * beta) // delta
+        for i, row in enumerate(out):
+            q0 = row[c] // alpha
+            q1 = (row[c + 1] - q0 * beta) // delta
+            if q0 or q1:
+                out[i] = [x - q0 * y - q1 * z for x, y, z in zip(row, r0, r1)]
+        out.append([m * y + n * z for y, z in zip(r0, r1)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +165,9 @@ class QuaternionLattice:
     def _from_z_rows(algebra, zrows, den) -> QuaternionLattice:
         """The lattice whose Z-structure is spanned by the integer rows over den."""
         fld = algebra.field
-        rows = hnf_int(zrows)
-        if len(rows) != 4 * fld.degree:
-            raise ValueError(f"generators span rank {len(rows) // fld.degree} < 4")
-        if fld.degree == 2:
-            ol = [[fld.integer(a, b) for a, b in zip(r[::2], r[1::2])] for r in rows]
-            rows = [[c for e in r for c in e.coords()] for r in hnf_ol(fld, ol)]
+        rows = hnf_int(zrows) if fld.degree == 1 else hnf_ol(fld, zrows)
+        if len(rows) != 4:
+            raise ValueError(f"generators span rank {len(rows)} < 4")
         return QuaternionLattice._normalized(algebra, rows, den)
 
     @staticmethod

@@ -178,15 +178,11 @@ def _radical_basis(A: ResidueAlgebra) -> list[tuple]:
     """Basis of the Jacobson radical of O/qO as coordinate vectors over F."""
     F = A.F
     if F.ell != 2:
-        # odd characteristic: radical of the reduced-trace pairing
-        bs = A.order.basis()
-        M = []
-        for x in bs:
-            row = []
-            for y in bs:
-                tr = (x * y).reduced_trace()
-                row.append(F.reduce(tr.to_integer()))
-            M.append(row)
+        # odd characteristic: radical of the symmetric pairing Trd(x conj(y)),
+        # which is that of Trd(x y) because conj permutes O
+        L = A.order.lattice
+        fld, sq = L.algebra.field, L.den ** 2
+        M = [[F.reduce(fld.integer(*(c // sq for c in e))) for e in row] for row in L.trd_gram()]
         return [tuple(v) for v in residue_nullspace(F, M)]
     # characteristic 2: brute force over the (tiny) algebra
     nil = [x for x in A.elements() if A.is_nilpotent(x)]

@@ -232,14 +232,20 @@ def test_cache_path_that_is_a_file_only_warns(tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
-def test_unwritable_out_path_is_invalid_config(tmp_path, capsys):
+def test_unwritable_out_path_is_invalid_config(tmp_path, monkeypatch, capsys):
+    # found before the pipeline runs: a parent that is a regular file, or a directory as --out
+    def fail(cfg):
+        raise AssertionError("run must not start when --out cannot be written")
+
+    monkeypatch.setattr("quatheta.cli.run", fail)
     blocker = tmp_path / "q11.json"
     blocker.write_text("")
-    rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--no-cache", "--out", str(blocker / "x.json")])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert json.loads(captured.out)["error"] == "InvalidConfig"
-    assert captured.err == ""
+    for out in (blocker / "x.json", tmp_path):
+        rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--no-cache", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out)["error"] == "InvalidConfig"
+        assert captured.err == ""
 
 
 def test_schema_bump_invalidates(tmp_path):

@@ -15,12 +15,13 @@ from quatheta.fields import (
     exact_div,
     field,
     field_gcd,
-    field_xgcd,
     is_associate,
     prime_splitting,
     primes_above,
     totally_positive_units_mod_squares,
 )
+from quatheta.lattices import _z_structure
+from quatheta.linalg import hnf_int
 
 from oracles import tp_box_scan
 
@@ -151,6 +152,11 @@ def test_canonical_generator_deterministic():
         assert canonical_positive_associate(sqrt5 * u) == g
 
 
+def _ideal_hnf(F, *xs):
+    """Integer HNF of the Z-structure of the ideal (xs) of O_L."""
+    return hnf_int(_z_structure(F, [x.coords()[: F.degree] for x in xs]))
+
+
 def test_gcd_and_xgcd():
     rng = random.Random(11)
     for d in (1, 2, 5, 13, 17):
@@ -160,9 +166,9 @@ def test_gcd_and_xgcd():
             y = F.integer(rng.randrange(-20, 21), rng.randrange(-20, 21) if d > 1 else 0)
             if x.is_zero() and y.is_zero():
                 continue
-            g, s, t = field_xgcd(x, y)
-            assert s * x + t * y == g
-            assert field_gcd(x, y) == g
+            g = field_gcd(x, y)
+            assert g == canonical_positive_associate(g)
+            assert _ideal_hnf(F, x, y) == _ideal_hnf(F, g)
             if not x.is_zero():
                 assert (x.to_element() / g.to_element()).is_integral()
             if not y.is_zero():

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatheta.fields import FieldElement, canonical_positive_associate, field, field_gcd, is_prime
-from quatheta.lattices import QuaternionLattice, hnf_ol
+from quatheta.lattices import QuaternionLattice, _scale_row, _z_structure, hnf_ol
+from quatheta.linalg import hnf_int
 from quatheta.quadmod import norm_gcd
 from quatheta.quaternions import construct
 
@@ -47,11 +48,35 @@ def test_hnf_idempotent():
 
 def test_pivot_canonicalization_over_olattice():
     F = field(5)
-    rows = [[F.integer(0)] * 4 for _ in range(2)]
-    rows[0][0] = F.integer(-1, 2)  # sqrt5: pivot normalizes to (2,1)
-    rows[1][1] = F.integer(1)
-    out = hnf_ol(F, rows)
-    assert out[0][0].coords() == (2, 1)
+    rows = [[-1, 2, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]]  # sqrt5 = -1 + 2 omega in column 0
+    out = hnf_ol(F, _z_structure(F, rows))
+    assert out[0][:2] == [2, 1]  # the pivot normalizes to (5 + sqrt5)/2
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 5, 13, 17]), data=st.data())
+def test_hnf_ol_is_the_canonical_ol_hnf(d, data):
+    # the four conditions below determine the O_L-HNF of a module uniquely
+    F = field(d)
+    small = st.integers(-6, 6)
+    rows = data.draw(st.lists(st.lists(small, min_size=8, max_size=8), min_size=1, max_size=6))
+    rank = data.draw(st.integers(1, len(rows)))
+    for i in range(rank, len(rows)):  # rank-deficient: O_L-combinations of the first rows
+        rows[i] = [0] * 8
+        for r in rows[:rank]:
+            c = F.integer(data.draw(small), data.draw(small))
+            rows[i] = [a + b for a, b in zip(rows[i], _scale_row(F, r, c))]
+    out = hnf_ol(F, _z_structure(F, rows))
+    assert hnf_int(_z_structure(F, out)) == hnf_int(_z_structure(F, rows))
+    cols = [next(c for c in range(0, 8, 2) if r[c] or r[c + 1]) for r in out]
+    assert cols == sorted(set(cols))
+    for i, (r, c) in enumerate(zip(out, cols)):
+        pivot = F.integer(r[c], r[c + 1])
+        assert pivot == canonical_positive_associate(pivot)
+        (alpha, _), (_, delta) = hnf_int(_z_structure(F, [[pivot.a, pivot.b]]))
+        for above in out[:i]:
+            assert 0 <= above[c] < alpha and 0 <= above[c + 1] < delta
+    assert hnf_ol(F, _z_structure(F, out)) == out
 
 
 def test_product_and_conjugate():
