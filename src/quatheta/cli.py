@@ -10,6 +10,7 @@ import os
 import sys
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -176,26 +177,92 @@ def _default_hecke(fld, p: int, bound: int) -> list:
     return out
 
 
-def _theta_tables(thetas) -> list[dict]:
+class _Table(list):
+    """A report table; a list subclass only so that `_TABLES` can hold it weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
+# Reports are kept in memory by callers that run many configurations (a
+# benchmark keeps every report of a run), so each distinct table is built
+# once per process and shared by every live report that contains it; it is
+# freed with the last such report.  Keys are the integers a table is built from.
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_table(key: tuple, build) -> _Table:
+    """The live table built from `key`, or a new one from `build()`."""
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _Table(build())
+    return table
+
+
+def _hom_table(mods, expected_level) -> _Table:
+    """The report's Hom-module table: normalizer, Gram, determinant and level of each (i, j).
+
+    Raises LevelMismatch when a level differs from `expected_level`.  Within
+    the table each distinct value is one [a, b] list.
+    """
+    H = len(mods)
+    data = []
+    for i in range(H):
+        for j in range(H):
+            det, level = gram_and_level(mods[i][j], expected_level)
+            data.append((i, j, mods[i][j].normalizer, mods[i][j].gram, det, level))
+
+    def build() -> list[dict]:
+        coords: dict[AlgebraicInteger, list[int]] = {}
+
+        def shared(x: AlgebraicInteger) -> list[int]:
+            return coords.setdefault(x, [x.a, x.b])
+
+        return [
+            {
+                "i": i,
+                "j": j,
+                "normalizer": shared(n),
+                "gram": [[shared(e) for e in row] for row in gram],
+                "det": shared(det),
+                "level": shared(level),
+            }
+            for i, j, n, gram, det, level in data
+        ]
+
+    # (i, j) follows from the position, as the table is in row-major order
+    key = tuple(
+        (n.a, n.b, *(c for row in gram for e in row for c in (e.a, e.b)), det.a, det.b, level.a, level.b)
+        for _, _, n, gram, det, level in data
+    )
+    return _shared_table(("hom_modules", key), build)
+
+
+def _theta_tables(thetas) -> _Table:
     """The report's theta tables.
 
-    Reports are kept in memory by callers that run many configurations, so
-    the tables share objects: one `nu` list per index, one entry dict per
+    Within the tables there is one `nu` list per index, one entry dict per
     (index, count), and one coefficient list per count tuple (tables with
     theta_ij = theta_ji share it).
     """
-    nus = [_coords(nu) for nu in thetas[0][0].nus]
-    entries: dict[tuple[int, int], dict] = {}
-    shared: dict[tuple[int, ...], list[dict]] = {}
-    tables = []
-    for row in thetas:
-        for t in row:
-            if t.counts not in shared:
-                shared[t.counts] = [
-                    entries.setdefault((k, c), {"nu": nus[k], "count": c}) for k, c in enumerate(t.counts)
-                ]
-            tables.append({"i": t.i, "j": t.j, "coefficients": shared[t.counts]})
-    return tables
+    index = thetas[0][0].nus
+
+    def build() -> list[dict]:
+        nus = [_coords(nu) for nu in index]
+        entries: dict[tuple[int, int], dict] = {}
+        shared: dict[tuple[int, ...], list[dict]] = {}
+        tables = []
+        for row in thetas:
+            for t in row:
+                if t.counts not in shared:
+                    shared[t.counts] = [
+                        entries.setdefault((k, c), {"nu": nus[k], "count": c}) for k, c in enumerate(t.counts)
+                    ]
+                tables.append({"i": t.i, "j": t.j, "coefficients": shared[t.counts]})
+        return tables
+
+    # (i, j) follows from the position, as the tables are in row-major order
+    key = (tuple(nu.coords() for nu in index), tuple(t.counts for row in thetas for t in row))
+    return _shared_table(("theta", key), build)
 
 
 def _hecke_primes(cfg: RunConfig, fld) -> tuple[list, list[dict]]:
@@ -260,29 +327,12 @@ def run(cfg: RunConfig) -> dict:
     t0 = time.monotonic()
     H = classes.size
     mods = hom_modules(classes.ideals)
-    coords: dict[AlgebraicInteger, list[int]] = {}  # one [a, b] list per value in this report
-
-    def shared(x: AlgebraicInteger) -> list[int]:
-        return coords.setdefault(x, [x.a, x.b])
-
-    levels = []
-    for i in range(H):
-        for j in range(H):
-            det, level = gram_and_level(mods[i][j], expected_level)
-            levels.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "normalizer": shared(mods[i][j].normalizer),
-                    "gram": [[shared(e) for e in row] for row in mods[i][j].gram],
-                    "det": shared(det),
-                    "level": shared(level),
-                }
-            )
+    levels = _hom_table(mods, expected_level)
     timings["hom_modules"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     thetas = theta_matrix(mods, cfg.bound, workers=cfg.workers)
+    theta_tables = _theta_tables(thetas)
     timings["theta"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -353,7 +403,7 @@ def run(cfg: RunConfig) -> dict:
             "norms": [_coords(I.norm) for I in classes.ideals],
         },
         "hom_modules": levels,
-        "theta": {"bound": cfg.bound, "tables": _theta_tables(thetas)},
+        "theta": {"bound": cfg.bound, "tables": theta_tables},
         "brandt": brandt_blocks,
         "hecke_checks": suite.checks,
         "hilbert_checks": extra_checks.checks if extra_checks is not None else None,
@@ -387,8 +437,15 @@ def _parse_hecke(text: str | None) -> tuple[int, ...]:
         raise InvalidConfig(f"--hecke takes comma-separated integers, got {text!r}") from None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises InvalidConfig for a malformed command line, where argparse would print usage and exit 2."""
+
+    def error(self, message: str):
+        raise InvalidConfig(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quatheta",
         description="Ideal classes, theta series, Brandt matrices and span checks "
         "for definite quaternion orders over Q and real quadratic fields.",
@@ -403,9 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache", type=str, default=None, help="cache directory")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--no-cache", action="store_true")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         cfg = RunConfig(
             d=args.field,
             p=args.prime,

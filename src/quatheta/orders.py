@@ -7,7 +7,7 @@ and unit-group weights."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +27,7 @@ from .fields import (
 )
 from .lattices import QuaternionLattice, _scale_row
 from .linalg import residue_nullspace, residue_rowreduce
-from .quadmod import degree_module, hom_module, lattice_norm, small_norm_elements
+from .quadmod import degree_module, hom_module, lattice_norm, norm_counts
 from .quaternions import QuaternionAlgebra, verify_ramification
 from .shortvec import short_vectors  # noqa: F401  (unused; perfbench/test_perfbench.py reads this binding)
 
@@ -310,7 +310,7 @@ def unit_weight(order: Order) -> int:
     """
     fld = order.algebra.field
     mod = degree_module(order.lattice, fld.one)
-    return sum(1 for _, nu in small_norm_elements(mod, fld.degree) if nu == (1, 0))
+    return norm_counts(mod, fld.degree).get((1, 0), 0)
 
 
 def mass_formula(order: Order) -> Fraction:
@@ -406,18 +406,13 @@ def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> 
     return out
 
 
-def is_isomorphic(I: LeftIdeal, J: LeftIdeal, with_witness: bool = False):
-    """I = J x test: search the Hom module conj(J)*I for an element of minimal norm.
+def is_isomorphic(I: LeftIdeal, J: LeftIdeal) -> bool:
+    """I = J x test: does the Hom module conj(J)*I hold an element of normalized norm 1?
 
     Scaling by units of O_L reduces the search to elements whose normalized
     norm is exactly 1, which live inside the ball Tr Q <= g.
     """
-    fld = I.order.algebra.field
-    mod = hom_module(I, J)
-    for vec, nu in small_norm_elements(mod, fld.degree):
-        if nu == (1, 0):
-            return (True, mod.element(vec)) if with_witness else True
-    return (False, None) if with_witness else False
+    return (1, 0) in norm_counts(hom_module(I, J), I.order.algebra.field.degree)
 
 
 def _class_key(J: LeftIdeal) -> tuple:
@@ -429,8 +424,7 @@ def _class_key(J: LeftIdeal) -> tuple:
     positive unit eps^2, so z -> eps conj(x) z x preserves the form.
     """
     bound = isqrt(J.order.algebra.p) + 1
-    counts = Counter(nu for _, nu in small_norm_elements(hom_module(J, J), bound))
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(norm_counts(hom_module(J, J), bound).items()))
 
 
 def pairwise_nonisomorphic(ideals: list[LeftIdeal]) -> bool:

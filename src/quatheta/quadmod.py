@@ -1,14 +1,17 @@
 """Lattices with the normalized degree form Q(x) = Nrd(x) / n, where n is the
 canonical totally positive generator of the reduced norm of the lattice, and
-the one search for their elements of small norm.
+the one count of their elements of small norm.
 
 A Hom module between two ideal classes, and an order with n = 1, are both
-such lattices.  Every small-norm question (theta coefficients, isomorphism
-tests, unit weights) is answered by `small_norm_elements`, which enumerates
-the integer trace form Tr_{L/Q}(B) of rank 4g."""
+such lattices.  Every small-norm question (theta coefficients, class keys,
+isomorphism tests, unit weights) asks only how often each value occurs, and
+is answered by `norm_counts`: one short-vector search on the LLL-reduced
+integer trace form Tr_{L/Q}(B) of rank 4g, which hands back each value with
+its vector, so no element is built and no vector is mapped back."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
@@ -23,7 +26,7 @@ from .fields import (
 )
 from .lattices import QuaternionLattice
 from .quaternions import QuaternionElement
-from .shortvec import DEFAULT_CAP, short_vectors
+from .shortvec import DEFAULT_CAP, lll_reduce, short_vectors
 
 
 @dataclass(frozen=True)
@@ -172,37 +175,40 @@ def trace_form(mod: QuadraticModule, weight: AlgebraicInteger | None = None) -> 
     return rows
 
 
-def small_norm_elements(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP):
-    """Yield (vec, (a, b)) for one x of each pair {x, -x} of nonzero elements with Tr Q(x) <= trace_bound.
+def norm_counts(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP) -> dict[tuple[int, int], int]:
+    """{(a, b): number of pairs {x, -x} of nonzero elements with Q(x) = a + b*omega}, over Tr Q(x) <= trace_bound.
 
-    `vec` holds the Z-coordinates of x (`mod.element(vec)` is x) and
-    Q(x) = a + b*omega.  The trace form evaluates Tr(2Q), so the enumeration
-    budget is 2*trace_bound.  Values come from integer quadratic forms on the
-    Z-coordinates: over Q, Q = x^T T x / 2; over Q(sqrt d), Tr(Q) and
-    Tr(omega Q) determine a and b through a 2x2 integer system.
+    The search runs on the LLL-reduced trace form R = U T U^T, which
+    evaluates Tr(2Q), so its budget is 2*trace_bound and each entry ends
+    with Tr(2Q) of its element.  Over Q that is 2Q.  Over Q(sqrt d), Tr(Q)
+    and Tr(omega Q), the second from the form U W U^T of Tr(2 omega Q) on
+    the same coordinates, determine a and b through a 2x2 integer system.
     """
     fld = mod.field
-    T = trace_form(mod)
-    vecs = short_vectors(T, 2 * trace_bound, cap=cap)
+    R, U = lll_reduce(trace_form(mod))
+    found = short_vectors(R, 2 * trace_bound, cap=cap)
     if fld.degree == 1:
-        for vec in vecs:
-            yield vec, (_form(T, vec) >> 1, 0)
-        return
+        return Counter((entry[-1] >> 1, 0) for entry in found)
     W = trace_form(mod, fld.omega)
+    UW = [[sum(map(mul, row, col)) for col in zip(*W)] for row in U]
+    RW = [[sum(map(mul, row, u)) for u in U] for row in UW]  # U W U^T
     t, n = fld.omega_trace, fld.omega_norm
     disc = t * t - 4 * n
-    for vec in vecs:
-        h1 = _form(T, vec) >> 1  # Tr Q = 2a + t b
-        h2 = _form(W, vec) >> 1  # Tr(omega Q) = t a + (t^2 - 2n) b
+    traces = Counter((entry[-1], _form(RW, entry)) for entry in found)  # (Tr 2Q, Tr 2 omega Q)
+    counts = {}
+    for (v1, v2), count in traces.items():
+        h1, h2 = v1 >> 1, v2 >> 1  # Tr Q = 2a + t b, Tr(omega Q) = t a + (t^2 - 2n) b
         a, ra = divmod((t * t - 2 * n) * h1 - t * h2, disc)
         b, rb = divmod(2 * h2 - t * h1, disc)
         if ra or rb:
-            raise ArithmeticError(f"degree form value at {vec} is not in O_L")
-        yield vec, (a, b)
+            raise ArithmeticError(f"degree form value with traces ({h1}, {h2}) is not in O_L")
+        counts[a, b] = count
+    return counts
 
 
 def _form(rows: list[list[int]], vec) -> int:
-    """x^T G x; even for the trace forms here, whose diagonals are traces of 2Q."""
+    """x^T G x for the first len(G) entries of `vec` (a search entry ends with
+    its value); even for the trace forms here, whose diagonals are traces of 2Q."""
     return sum(c * sum(map(mul, row, vec)) for c, row in zip(vec, rows) if c)
 
 

@@ -1,5 +1,6 @@
 """Representation numbers of the degree form: a_nu = #{x in M : Q(x) = nu},
-computed by exact branch-and-bound over the integer trace form of rank 4g."""
+counted by exact branch-and-bound over the LLL-reduced integer trace form of
+rank 4g (`quadmod.norm_counts`)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import IncompatibleBounds
 from .fields import AlgebraicInteger, enumerate_totally_positive
-from .quadmod import QuadraticModule, small_norm_elements
+from .quadmod import QuadraticModule, norm_counts
 from .shortvec import DEFAULT_CAP
 from .shortvec import short_vectors  # noqa: F401  (unused; perfbench/test_perfbench.py reads this binding)
 
@@ -36,20 +37,18 @@ class ThetaSeries:
 def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeries:
     """Count the lattice points with Tr(Q(x)) <= bound by the exact value of Q.
 
-    Each enumerated representative stands for the pair {x, -x}.
+    `norm_counts` counts the pairs {x, -x}, so each stands for two points.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     fld = mod.field
-    buckets: dict[tuple[int, int], int] = {}
-    for _, nu in small_norm_elements(mod, bound, cap):
-        buckets[nu] = buckets.get(nu, 0) + 2
+    pairs = norm_counts(mod, bound, cap)
     index = enumerate_totally_positive(fld, bound)
     allowed = {nu.coords() for nu in index}
-    stray = [k for k in buckets if k not in allowed]
+    stray = [k for k in pairs if k not in allowed]
     if stray:
         raise ArithmeticError(f"enumerated values {stray} fall outside the index set")
-    counts = [1 if nu.is_zero() else buckets.get(nu.coords(), 0) for nu in index]
+    counts = [1 if nu.is_zero() else 2 * pairs.get(nu.coords(), 0) for nu in index]
     return ThetaSeries(fld, mod.i, mod.j, bound, tuple(index), tuple(counts))
 
 

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,23 @@ def test_exit_code_invalid_config(flag, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flag", [["--field", "x"], ["--frobnicate"]])
+def test_malformed_command_line_is_invalid_config(flag, capsys):
+    # argparse would print its usage on stderr and exit 2
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "InvalidConfig"
+    assert captured.err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--bound" in capsys.readouterr().out
+
+
 def test_internal_failure_is_not_invalid_config(monkeypatch, capsys):
     # an invariant failing inside the pipeline is reported as such, not blamed on the input
     def fail(cfg):
@@ -114,16 +133,39 @@ def test_report_digest(d, p, bound):
     assert digest == REPORT_DIGESTS[(d, p, bound)]
 
 
-def test_report_shares_equal_values_within_one_report_only():
+def test_sqrt2_level_eleven_finishes(tmp_path):
+    # the trace forms of its class keys are skewed enough that the search
+    # does not finish in minutes on an unreduced Gram
+    out = tmp_path / "r.json"
+    assert main(["--field", "2", "--prime", "11", "--bound", "12", "--no-cache", "--out", str(out)]) == 0
+    body = report_body(json.loads(out.read_text()))
+    assert body["all_checks_pass"] is True
+    assert body["classes"]["count"] == 7
+    assert sum(Fraction(1, w) for w in body["classes"]["weights"]) == Fraction(body["mass"]) == Fraction(61, 12)
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == "f7377e8b7d1677a33d42d3f9c60db45243f27d44d9245c7936ec301a00346389"
+
+
+def test_report_tables_are_shared_while_a_report_holds_them():
     # a caller that keeps many reports holds one object per distinct value
     a = run(RunConfig(d=1, p=11, bound=12))
-    b = run(RunConfig(d=1, p=11, bound=12))
     values = [e for m in a["hom_modules"] for row in m["gram"] for e in row]
     assert len({id(e) for e in values}) == len({tuple(e) for e in values})
     entries = [e for t in a["theta"]["tables"] for e in t["coefficients"]]
     assert len({id(e) for e in entries}) == len({(id(e["nu"]), e["count"]) for e in entries})
-    assert not {id(e) for e in entries} & {id(e) for t in b["theta"]["tables"] for e in t["coefficients"]}
-    assert a["hom_modules"][0]["gram"][0][0] is not b["hom_modules"][0]["gram"][0][0]
+    # a second report of the same configuration holds the same tables, and
+    # one of another bound its own
+    b = run(RunConfig(d=1, p=11, bound=12))
+    assert b["theta"]["tables"] is a["theta"]["tables"]
+    assert b["hom_modules"] is a["hom_modules"]
+    c = run(RunConfig(d=1, p=11, bound=10))
+    assert c["theta"]["tables"] is not a["theta"]["tables"]
+    assert c["hom_modules"] is a["hom_modules"]
+    # a table lives as long as some report holds it
+    tables = weakref.ref(a["theta"]["tables"])
+    del a, b
+    assert tables() is None
+    assert json.dumps(report_body(c)) == json.dumps(report_body(run(RunConfig(d=1, p=11, bound=10))))
 
 
 def test_cache_cold_then_warm_identical(tmp_path):

@@ -165,15 +165,15 @@ def test_unit_rescaling_permutes_representations():
     from quatheta.shortvec import short_vectors
     from quatheta.quadmod import trace_form
 
-    for vec in short_vectors(trace_form(m), 2 * 8):
-        x = m.element(vec)
+    for entry in short_vectors(trace_form(m), 2 * 8):
+        x = m.element(entry[:-1])
         nu = m.value(x)
         key = canonical_positive_associate(nu).coords()
         rescaled[key] = rescaled.get(key, 0) + 2
     # bucket the u*n-normalized values by canonical orbit representative too
     other = {}
-    for vec in short_vectors(trace_form(m), 2 * 8):
-        x = m.element(vec)
+    for entry in short_vectors(trace_form(m), 2 * 8):
+        x = m.element(entry[:-1])
         nu_scaled = m.value(x) * eps2  # = Nrd(x) / (eps^-2 n)
         key = canonical_positive_associate(nu_scaled).coords()
         other[key] = other.get(key, 0) + 2
