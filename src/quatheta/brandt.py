@@ -27,13 +27,20 @@ class BrandtMatrix:
         return mat_mul(self.entries, other.entries)
 
     def charpoly(self) -> list[int]:
-        """Coefficients of the characteristic polynomial, leading first."""
-        import sympy  # deferred: it is most of the package's import time
-
-        x = sympy.Symbol("x")
-        M = sympy.Matrix(self.size, self.size, lambda i, j: self.entries[i][j])
-        poly = M.charpoly(x)
-        return [int(c) for c in poly.all_coeffs()]
+        """Coefficients of det(x - B), leading first, by Berkowitz's division-free
+        recursion: the charpoly of each leading k+1 block is a Toeplitz matrix
+        in (a_kk, R A_k^t C) times that of the leading k block A_k."""
+        A = self.entries
+        poly = [1]
+        for k in range(self.size):
+            # rows 0..k of A left of column k, as (column, entry) pairs: a Brandt matrix is sparse
+            rows = [[(c, a) for c, a in enumerate(A[r][:k]) if a] for r in range(k + 1)]
+            v, t = [A[r][k] for r in range(k)], [1, -A[k][k]]
+            for _ in range(k):
+                t.append(-sum(a * v[c] for c, a in rows[k]))
+                v = [sum(a * v[c] for c, a in row) for row in rows[:k]]
+            poly = [sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) for i in range(k + 2)]
+        return poly
 
 
 def mat_mul(a, b):
@@ -194,13 +201,13 @@ def cuspidal_eigenvalues(charpoly: list[int], prime: PrimeIdeal) -> list[Eigenva
     import sympy
 
     x = sympy.Symbol("x")
-    poly = sympy.Poly(charpoly, x)
-    eis = sympy.Poly([1, -(prime.norm + 1)], x)
-    quo, rem = sympy.div(poly, eis, x)
-    if not rem.is_zero:
+    quo = [charpoly[0]]  # synthetic division by x - (Nq + 1); the last entry is the remainder
+    for c in charpoly[1:]:
+        quo.append(c + (prime.norm + 1) * quo[-1])
+    if quo.pop():
         raise ArithmeticError("Eisenstein eigenvalue missing from the spectrum")
     out = []
-    for factor, mult in sympy.factor_list(quo)[1]:
+    for factor, mult in sympy.factor_list(sympy.Poly(quo, x))[1]:
         fpoly = sympy.Poly(factor, x)
         if fpoly.degree() == 1:
             c1, c0 = fpoly.all_coeffs()

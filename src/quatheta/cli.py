@@ -186,7 +186,8 @@ class _Table(list):
 # Reports are kept in memory by callers that run many configurations (a
 # benchmark keeps every report of a run), so each distinct table is built
 # once per process and shared by every live report that contains it; it is
-# freed with the last such report.  Keys are the integers a table is built from.
+# freed with the last such report.  Keys are the integers and strings a table
+# is built from.
 _TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -265,6 +266,23 @@ def _theta_tables(thetas) -> _Table:
     return _shared_table(("theta", key), build)
 
 
+def _brandt_blocks(blocks) -> list[dict]:
+    """The report's Brandt blocks from (prime, norm, matrix, charpoly, cuspidal) tuples of integers and strings."""
+    return [
+        {
+            "prime": list(prime),
+            "norm": norm,
+            "matrix": [list(r) for r in matrix],
+            "charpoly": list(charpoly),
+            "cuspidal": [
+                {"minpoly": list(m), "exact": exact, "interval": iv and list(iv), "ramanujan": ok}
+                for m, exact, iv, ok in cuspidal
+            ],
+        }
+        for prime, norm, matrix, charpoly, cuspidal in blocks
+    ]
+
+
 def _hecke_primes(cfg: RunConfig, fld) -> tuple[list, list[dict]]:
     """The Hecke primes to check, and the requested ones dropped with the reason.
 
@@ -338,30 +356,25 @@ def run(cfg: RunConfig) -> dict:
     t0 = time.monotonic()
     hecke, timings["hecke_dropped"] = _hecke_primes(cfg, fld)
     suite = hecke_property_suite(classes, thetas, hecke, cfg.bound)
-    brandt_blocks = []
+    blocks = []
     for P in hecke:
         M = brandt(classes, thetas, prime_power_index(P, 1))
         charpoly = M.charpoly()
         evs = cuspidal_eigenvalues(charpoly, P) if H >= 2 else []
-        brandt_blocks.append(
-            {
-                "prime": _coords(P.generator),
-                "norm": P.norm,
-                "matrix": [list(r) for r in M.entries],
-                "charpoly": charpoly,
-                "cuspidal": [
-                    {
-                        "minpoly": list(e.minpoly),
-                        "exact": str(e.exact) if e.exact is not None else None,
-                        "interval": [str(e.interval[0]), str(e.interval[1])]
-                        if e.interval
-                        else None,
-                        "ramanujan": ramanujan_ok(e, P),
-                    }
-                    for e in evs
-                ],
-            }
+        cuspidal = tuple(
+            (
+                e.minpoly,
+                None if e.exact is None else str(e.exact),
+                e.interval and tuple(map(str, e.interval)),
+                ramanujan_ok(e, P),
+            )
+            for e in evs
         )
+        blocks.append((P.generator.coords(), P.norm, M.entries, tuple(charpoly), cuspidal))
+    brandt_blocks = _shared_table(("brandt", tuple(blocks)), lambda: _brandt_blocks(blocks))
+    hecke_checks = _shared_table(
+        ("hecke_checks", tuple((c["name"], c["ok"], c["detail"]) for c in suite.checks)), lambda: suite.checks
+    )
     timings["brandt"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -405,7 +418,7 @@ def run(cfg: RunConfig) -> dict:
         "hom_modules": levels,
         "theta": {"bound": cfg.bound, "tables": theta_tables},
         "brandt": brandt_blocks,
-        "hecke_checks": suite.checks,
+        "hecke_checks": hecke_checks,
         "hilbert_checks": extra_checks.checks if extra_checks is not None else None,
         "span": {
             "class_count": span.class_count,

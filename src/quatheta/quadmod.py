@@ -86,8 +86,19 @@ def hom_module(I_i, I_j, i: int = 0, j: int = 0) -> QuadraticModule:
 
 
 def hom_modules(ideals) -> list[list[QuadraticModule]]:
-    """hom_module(I_i, I_j, i, j) for every ordered pair of class representatives."""
-    return [[hom_module(I, J, i, j) for j, J in enumerate(ideals)] for i, I in enumerate(ideals)]
+    """hom_module(I_i, I_j, i, j) for every ordered pair of class representatives.
+
+    Each unordered pair is multiplied out once: for i < j the (j, i) module
+    conj(I_i) I_j is the conjugate lattice of (i, j), with the same normalizer,
+    since Nrd(conj x) = Nrd(x).
+    """
+    H = len(ideals)
+    mods = [[None] * H for _ in range(H)]
+    for i, I in enumerate(ideals):
+        for j in range(i, H):
+            m = mods[i][j] = hom_module(I, ideals[j], i, j)
+            mods[j][i] = degree_module(m.lattice.conjugate(), m.normalizer, j, i) if j > i else m
+    return mods
 
 
 def _check_unit_content(mod: QuadraticModule) -> None:

@@ -4,7 +4,7 @@ rank 4g (`quadmod.norm_counts`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import IncompatibleBounds
 from .fields import AlgebraicInteger, enumerate_totally_positive
@@ -23,15 +23,22 @@ class ThetaSeries:
     bound: int
     nus: tuple[AlgebraicInteger, ...]
     counts: tuple[int, ...]
+    positions: dict = dc_field(compare=False, repr=False)  # (a, b) -> place in nus, one per index tuple
 
     def coefficient(self, nu: AlgebraicInteger) -> int:
         try:
-            return self.counts[self.nus.index(nu)]
-        except ValueError:
+            return self.counts[self.positions[nu.coords()]]
+        except KeyError:
             raise IncompatibleBounds(f"{nu!r} is outside the computed index set") from None
 
     def total(self) -> int:
         return sum(self.counts)
+
+
+def _index(fld, bound: int) -> tuple[tuple[AlgebraicInteger, ...], dict]:
+    """The index set of trace at most `bound`, and its position map."""
+    nus = tuple(enumerate_totally_positive(fld, bound))
+    return nus, {nu.coords(): k for k, nu in enumerate(nus)}
 
 
 def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeries:
@@ -43,31 +50,35 @@ def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeri
         raise ValueError("bound must be nonnegative")
     fld = mod.field
     pairs = norm_counts(mod, bound, cap)
-    index = enumerate_totally_positive(fld, bound)
-    allowed = {nu.coords() for nu in index}
-    stray = [k for k in pairs if k not in allowed]
+    index, positions = _index(fld, bound)
+    stray = [k for k in pairs if k not in positions]
     if stray:
         raise ArithmeticError(f"enumerated values {stray} fall outside the index set")
-    counts = [1 if nu.is_zero() else 2 * pairs.get(nu.coords(), 0) for nu in index]
-    return ThetaSeries(fld, mod.i, mod.j, bound, tuple(index), tuple(counts))
+    counts = tuple(1 if nu.is_zero() else 2 * pairs.get(nu.coords(), 0) for nu in index)
+    return ThetaSeries(fld, mod.i, mod.j, bound, index, counts, positions)
 
 
 def _theta_counts(mod: QuadraticModule, bound: int) -> tuple[int, ...]:
-    """Pool task: the counts of one theta series, as plain integers."""
+    """One task of `theta_matrix`: the counts of one theta series, as plain integers."""
     return theta(mod, bound).counts
 
 
 def theta_matrix(mods: list[list[QuadraticModule]], bound: int, workers: int = 1) -> list[list[ThetaSeries]]:
     """Theta series of every Hom module in the H x H table `mods`.
 
-    With workers > 1 the modules are spread over one pool of at most
-    `workers` processes; a failure in any task is raised here unchanged.
-    The series themselves are built in this process, so they all share its
-    field object.
+    `mods[j][i]` must be the conjugate of `mods[i][j]`, as `hom_modules`
+    builds it: Nrd(conj x) = Nrd(x), so the two have the same theta series.
+    Only the modules with i <= j are enumerated, and (j, i) shares the index
+    and count tuples of (i, j).  With workers > 1 those modules are spread
+    over one pool of at most `workers` processes; a failure in any task is
+    raised here unchanged.  The series themselves are built in this process,
+    so they all share its field object.
     """
-    flat = [m for row in mods for m in row]
+    H = len(mods)
+    pairs = [(i, j) for i in range(H) for j in range(i, H)]
+    upper = [mods[i][j] for i, j in pairs]
     if workers == 1:
-        series = [theta(m, bound) for m in flat]
+        counts = [_theta_counts(m, bound) for m in upper]
     else:
         # imported here: a serial run never loads the pool modules
         import concurrent.futures
@@ -77,12 +88,15 @@ def theta_matrix(mods: list[list[QuadraticModule]], bound: int, workers: int = 1
         # the payload; fork would copy this process's heap and is unsafe once
         # the process has threads
         spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(min(workers, len(flat)), spawn) as pool:
-            counts = list(pool.map(_theta_counts, flat, [bound] * len(flat)))
-        index = tuple(enumerate_totally_positive(flat[0].field, bound))
-        series = [ThetaSeries(m.field, m.i, m.j, bound, index, c) for m, c in zip(flat, counts)]
-    H = len(mods)
-    return [series[i * H : (i + 1) * H] for i in range(H)]
+        with concurrent.futures.ProcessPoolExecutor(min(workers, len(upper)), spawn) as pool:
+            counts = list(pool.map(_theta_counts, upper, [bound] * len(upper)))
+    fld = mods[0][0].field
+    index, positions = _index(fld, bound)
+    series = [[None] * H for _ in range(H)]
+    for (i, j), c in zip(pairs, counts):
+        for r, s in ((i, j), (j, i)):
+            series[r][s] = ThetaSeries(fld, mods[r][s].i, mods[r][s].j, bound, index, c, positions)
+    return series
 
 
 def theta_difference(t1: ThetaSeries, t2: ThetaSeries) -> tuple[int, ...]:

@@ -132,3 +132,38 @@ def test_eisenstein_eigenvalue_at_prime_powers():
         want = eisenstein_eigenvalue(P2, k, 11)
         assert want == sum(2 ** t for t in range(k + 1))
         assert [sum(r) for r in M.entries] == [want] * cs.size
+
+
+def _sympy_charpoly(entries):
+    import sympy
+
+    return [int(c) for c in sympy.Matrix(entries).charpoly(sympy.Symbol("x")).all_coeffs()]
+
+
+def test_charpoly_matches_sympy_on_random_matrices():
+    import random
+
+    from quatheta.brandt import BrandtMatrix
+
+    rng = random.Random(20)
+    for n in range(1, 9):
+        for _ in range(12):
+            entries = tuple(tuple(rng.randint(-30, 30) for _ in range(n)) for _ in range(n))
+            assert BrandtMatrix(field(1).one, entries).charpoly() == _sympy_charpoly(entries), entries
+
+
+@pytest.mark.parametrize("d,p,bound", [(1, 11, 30), (1, 37, 20), (1, 67, 20), (5, 11, 12)])
+def test_charpoly_matches_sympy_on_brandt_matrices(d, p, bound):
+    # every prime-power matrix the Hecke suite builds for the default primes
+    from quatheta.cli import _default_hecke
+
+    cs, th = _setup(d, p, bound)
+    checked = 0
+    for P in _default_hecke(field(d), p, bound):
+        k = 1
+        while prime_power_index(P, k).trace() <= bound:
+            M = brandt(cs, th, prime_power_index(P, k))
+            assert M.charpoly() == _sympy_charpoly(M.entries), (P, k)
+            checked += 1
+            k += 1
+    assert checked >= 4

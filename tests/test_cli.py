@@ -158,6 +158,7 @@ def test_report_tables_are_shared_while_a_report_holds_them():
     b = run(RunConfig(d=1, p=11, bound=12))
     assert b["theta"]["tables"] is a["theta"]["tables"]
     assert b["hom_modules"] is a["hom_modules"]
+    assert b["brandt"] is a["brandt"] and b["hecke_checks"] is a["hecke_checks"]
     c = run(RunConfig(d=1, p=11, bound=10))
     assert c["theta"]["tables"] is not a["theta"]["tables"]
     assert c["hom_modules"] is a["hom_modules"]

@@ -214,7 +214,7 @@ def _gram_schmidt(gram):
     for i in range(n):
         for j in range(i):
             mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * b[k] for k in range(j))) / b[j]
-        b[i] = gram[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i))
+        b[i] = Fraction(gram[i][i]) - sum(mu[i][k] ** 2 * b[k] for k in range(i))
     return mu, b
 
 

@@ -8,7 +8,7 @@ import pytest
 from quatheta.errors import IncompatibleBounds
 from quatheta.fields import field
 from quatheta.orders import ideal_classes, level_one_order, standard_order
-from quatheta.quadmod import hom_module, hom_modules, trace_form
+from quatheta.quadmod import gram_and_level, hom_module, hom_modules, trace_form
 from quatheta.quaternions import construct
 from quatheta.theta import theta, theta_difference, theta_matrix
 
@@ -50,8 +50,28 @@ def test_basic_coefficients():
     for i in range(2):
         for j in range(2):
             assert all(c % 2 == 0 for c in thetas[i][j].counts[1:])
-    # conjugation symmetry: a_nu(M_ij) = a_nu(M_ji)
-    assert thetas[0][1].counts == thetas[1][0].counts
+    # conjugation symmetry a_nu(M_ij) = a_nu(M_ji): (1, 0) shares the counts of
+    # (0, 1), so compare it with the module built as the product conj(I_0) I_1
+    assert thetas[1][0].counts == theta(hom_module(cs.ideals[1], cs.ideals[0], 1, 0), 10).counts
+
+
+@pytest.mark.parametrize("d,p,bound", [(1, 67, 50), (5, 11, 12), (2, 7, 12), (13, 3, 12), (1, 503, 4)])
+def test_mirrored_table_matches_product_built_modules(d, p, bound):
+    # hom_modules builds (j, i) as the conjugate of (i, j), and theta_matrix
+    # mirrors (i, j) into (j, i); both must agree with the module built as the
+    # product conj(I_i) I_j and with its own enumeration
+    cs = _classes(d, p)
+    mods = hom_modules(cs.ideals)
+    thetas = theta_matrix(mods, bound)
+    for i in range(cs.size):
+        for j in range(i + 1, cs.size):
+            built = hom_module(cs.ideals[j], cs.ideals[i], j, i)
+            mirrored = mods[j][i]
+            assert (built.lattice.mat, built.lattice.den) == (mirrored.lattice.mat, mirrored.lattice.den)
+            assert (built.normalizer, built.gram, built.i, built.j) == (mirrored.normalizer, mirrored.gram, j, i)
+            assert gram_and_level(built) == gram_and_level(mirrored)
+            assert theta(built, bound).counts == thetas[j][i].counts, (d, p, i, j)
+            assert (thetas[j][i].i, thetas[j][i].j) == (j, i)
 
 
 def test_hurwitz_unit_count():
@@ -143,13 +163,14 @@ def test_worker_split_identical():
 
 def test_pool_failure_reaches_caller_unchanged():
     # a module whose trace form is negative definite makes its pool task
-    # raise; the error must be the worker's own, not a serial rerun's
+    # raise; the error must be the worker's own, not a serial rerun's.  Only
+    # the upper triangle is enumerated, so the bad module sits at (0, 1).
     from concurrent.futures.process import _RemoteTraceback
 
     cs = _classes(1, 11)
     mods = hom_modules(cs.ideals)
-    bad = mods[1][0]
-    mods[1][0] = dataclasses.replace(bad, gram=tuple(tuple(-e for e in row) for row in bad.gram))
+    bad = mods[0][1]
+    mods[0][1] = dataclasses.replace(bad, gram=tuple(tuple(-e for e in row) for row in bad.gram))
     with pytest.raises(ValueError, match="not positive definite") as info:
         theta_matrix(mods, 10, workers=2)
     assert isinstance(info.value.__cause__, _RemoteTraceback)
