@@ -50,9 +50,8 @@ class RunConfig:
     bound: int = 20
     aux_prime: int | None = None
     hecke_primes: tuple[int, ...] = ()
-    out: str | None = None
     cache_dir: str | None = None
-    workers: int = 1
+    workers: int = 1  # read by nothing: perfbench/worker.py still passes workers=job.workers
     use_cache: bool = True
 
     def validate(self) -> None:
@@ -60,8 +59,6 @@ class RunConfig:
             raise InvalidConfig(f"unknown mode {self.mode}")
         if self.bound < 0:
             raise InvalidConfig("bound must be nonnegative")
-        if self.workers < 1:
-            raise InvalidConfig("workers must be positive")
 
 
 def _coords(x: AlgebraicInteger) -> list[int]:
@@ -349,7 +346,7 @@ def run(cfg: RunConfig) -> dict:
     timings["hom_modules"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    thetas = theta_matrix(mods, cfg.bound, workers=cfg.workers)
+    thetas = theta_matrix(mods, cfg.bound)
     theta_tables = _theta_tables(thetas)
     timings["theta"] = time.monotonic() - t0
 
@@ -430,7 +427,7 @@ def run(cfg: RunConfig) -> dict:
             "verdict": span.verdict,
         },
         "all_checks_pass": all_ok,
-        "timings": {"workers": cfg.workers, "classes_from_cache": cached, **timings},
+        "timings": {"classes_from_cache": cached, **timings},
     }
     return report
 
@@ -471,7 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--hecke", type=str, default=None, help="comma-separated rational primes")
     parser.add_argument("--out", type=str, default=None, help="report output path (default stdout)")
     parser.add_argument("--cache", type=str, default=None, help="cache directory")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--no-cache", action="store_true")
 
     try:
@@ -483,9 +479,7 @@ def main(argv: list[str] | None = None) -> int:
             bound=args.bound,
             aux_prime=args.aux_prime,
             hecke_primes=_parse_hecke(args.hecke),
-            out=args.out,
             cache_dir=args.cache,
-            workers=args.workers,
             use_cache=not args.no_cache,
         )
         out = Path(args.out) if args.out else None

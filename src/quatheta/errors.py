@@ -10,7 +10,7 @@ class QuathetaError(Exception):
 
 
 class InvalidConfig(QuathetaError):
-    """A run option is malformed or out of range (negative bound, no workers, unparsable primes)."""
+    """A run option is malformed or out of range (negative bound, unparsable primes)."""
 
 
 class UnsupportedField(QuathetaError):

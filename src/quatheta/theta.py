@@ -58,44 +58,21 @@ def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeri
     return ThetaSeries(fld, mod.i, mod.j, bound, index, counts, positions)
 
 
-def _theta_counts(mod: QuadraticModule, bound: int) -> tuple[int, ...]:
-    """One task of `theta_matrix`: the counts of one theta series, as plain integers."""
-    return theta(mod, bound).counts
-
-
-def theta_matrix(mods: list[list[QuadraticModule]], bound: int, workers: int = 1) -> list[list[ThetaSeries]]:
+def theta_matrix(mods: list[list[QuadraticModule]], bound: int) -> list[list[ThetaSeries]]:
     """Theta series of every Hom module in the H x H table `mods`.
 
     `mods[j][i]` must be the conjugate of `mods[i][j]`, as `hom_modules`
     builds it: Nrd(conj x) = Nrd(x), so the two have the same theta series.
-    Only the modules with i <= j are enumerated, and (j, i) shares the index
-    and count tuples of (i, j).  With workers > 1 those modules are spread
-    over one pool of at most `workers` processes; a failure in any task is
-    raised here unchanged.  The series themselves are built in this process,
-    so they all share its field object.
+    Only the modules with i <= j are enumerated, and (j, i) shares the index,
+    count and position tables of (i, j).
     """
     H = len(mods)
-    pairs = [(i, j) for i in range(H) for j in range(i, H)]
-    upper = [mods[i][j] for i, j in pairs]
-    if workers == 1:
-        counts = [_theta_counts(m, bound) for m in upper]
-    else:
-        # imported here: a serial run never loads the pool modules
-        import concurrent.futures
-        import multiprocessing
-
-        # spawned children start from a fresh import and get all they need in
-        # the payload; fork would copy this process's heap and is unsafe once
-        # the process has threads
-        spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(min(workers, len(upper)), spawn) as pool:
-            counts = list(pool.map(_theta_counts, upper, [bound] * len(upper)))
-    fld = mods[0][0].field
-    index, positions = _index(fld, bound)
     series = [[None] * H for _ in range(H)]
-    for (i, j), c in zip(pairs, counts):
-        for r, s in ((i, j), (j, i)):
-            series[r][s] = ThetaSeries(fld, mods[r][s].i, mods[r][s].j, bound, index, c, positions)
+    for i in range(H):
+        for j in range(i, H):
+            t = theta(mods[i][j], bound)
+            series[i][j] = t
+            series[j][i] = ThetaSeries(t.field, t.j, t.i, bound, t.nus, t.counts, t.positions)
     return series
 
 

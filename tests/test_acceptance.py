@@ -5,13 +5,12 @@ Every tolerance is exact (integer or rational equality); the time budgets
 are asserted with a wall clock.
 """
 
-import json
 import time
 from fractions import Fraction
 
 from quatheta.basis import classical_dimension, hilbert_consistency, span_rank
 from quatheta.brandt import brandt, cuspidal_eigenvalues, hecke_property_suite, prime_power_index
-from quatheta.cli import RunConfig, _default_hecke, report_body, run
+from quatheta.cli import _default_hecke
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, mass_formula, standard_order
 from quatheta.quadmod import gram_and_level, hom_module, hom_modules
@@ -167,14 +166,3 @@ def test_criterion_7_hilbert_hecke_stability():
         checks.all_ok,
         f"rank {span.rank} of H-1={cs.size - 1}; checks: {len(checks.checks)}, failures {checks.failures()}",
     )
-
-
-def test_criterion_8_worker_determinism():
-    """Worker counts 1 and 8 produce byte-identical report bodies for criterion-1 runs."""
-    for p in (11, 23, 37, 67):
-        r1 = report_body(run(RunConfig(d=1, p=p, bound=50, workers=1)))
-        r8 = report_body(run(RunConfig(d=1, p=p, bound=50, workers=8)))
-        _report(
-            f"criterion 8: determinism across workers (Q, {p})",
-            json.dumps(r1) == json.dumps(r8),
-        )

@@ -1,6 +1,5 @@
 """Theta series: exactness against the naive box-scan oracle, parity, differences."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -150,30 +149,6 @@ def test_smaller_bound_is_prefix():
     big = theta(m, 10)
     small = theta(m, 6)
     assert big.counts[: len(small.counts)] == small.counts
-
-
-def test_worker_split_identical():
-    cs = _classes(1, 11)
-    mods = hom_modules(cs.ideals)
-    a = theta_matrix(mods, 20, workers=1)
-    b = theta_matrix(mods, 20, workers=5)
-    assert [[t.counts for t in row] for row in a] == [[t.counts for t in row] for row in b]
-    assert all(t.field is cs.order.algebra.field for row in b for t in row)
-
-
-def test_pool_failure_reaches_caller_unchanged():
-    # a module whose trace form is negative definite makes its pool task
-    # raise; the error must be the worker's own, not a serial rerun's.  Only
-    # the upper triangle is enumerated, so the bad module sits at (0, 1).
-    from concurrent.futures.process import _RemoteTraceback
-
-    cs = _classes(1, 11)
-    mods = hom_modules(cs.ideals)
-    bad = mods[0][1]
-    mods[0][1] = dataclasses.replace(bad, gram=tuple(tuple(-e for e in row) for row in bad.gram))
-    with pytest.raises(ValueError, match="not positive definite") as info:
-        theta_matrix(mods, 10, workers=2)
-    assert isinstance(info.value.__cause__, _RemoteTraceback)
 
 
 def test_enumeration_cap():
