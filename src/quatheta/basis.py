@@ -4,6 +4,7 @@ via the genus of the modular curve, property-based over real quadratic fields.""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .brandt import CheckReport, brandt, prime_power_index
 from .fields import PrimeIdeal
@@ -82,8 +83,6 @@ def _verdict(report: SpanReport) -> str:
 
 def classical_dimension(p: int) -> int:
     """dim S_2(Gamma_0(p)) as the genus of the level-p modular curve."""
-    from fractions import Fraction
-
     mu = p + 1
     if p == 2:
         nu2, nu3 = 1, 0
@@ -92,7 +91,8 @@ def classical_dimension(p: int) -> int:
         nu3 = 1 if p == 3 else 1 + _legendre(-3, p)
     ninf = 2
     g = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(ninf, 2)
-    assert g.denominator == 1
+    if g.denominator != 1:
+        raise ArithmeticError(f"genus {g} of X_0({p}) is not an integer")
     return int(g)
 
 
@@ -140,8 +140,6 @@ def hecke_stability(
 def eisenstein_weighted_sums(classes: ClassSet, thetas: list[list[ThetaSeries]]) -> CheckReport:
     """Sum_j a_nu(M_ij)/w_j must be independent of i, coefficient by coefficient."""
     report = CheckReport()
-    from fractions import Fraction
-
     H = classes.size
     n = len(thetas[0][0].counts)
     ref = None

@@ -1,40 +1,22 @@
 """Command-line driver: run the full pipeline for one (field, prime, mode)
-configuration, emit a deterministic JSON report, and cache class lists."""
+configuration and emit a deterministic JSON report."""
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
 from .brandt import brandt, hecke_property_suite, cuspidal_eigenvalues, prime_power_index, ramanujan_ok
-from .errors import BadPrime, InvalidConfig, NotAnOrder, QuathetaError
+from .errors import BadPrime, InvalidConfig, QuathetaError
 from .fields import AlgebraicInteger, field, primes_above
-from .lattices import QuaternionLattice
-from .orders import (
-    ClassSet,
-    LeftIdeal,
-    Order,
-    default_aux_prime,
-    ideal_classes,
-    ideal_norm,
-    left_order,
-    level_one_order,
-    mass_formula,
-    pairwise_nonisomorphic,
-    right_order,
-    standard_order,
-    unit_weight,
-)
+from .orders import default_aux_prime, ideal_classes, level_one_order, mass_formula, standard_order
 from .quadmod import gram_and_level, hom_modules
 from .quaternions import construct, verify_ramification
 from .theta import theta_matrix
@@ -50,115 +32,20 @@ class RunConfig:
     bound: int = 20
     aux_prime: int | None = None
     hecke_primes: tuple[int, ...] = ()
-    cache_dir: str | None = None
     workers: int = 1  # read by nothing: perfbench/worker.py still passes workers=job.workers
-    use_cache: bool = True
+    use_cache: bool = True  # read by nothing: perfbench/worker.py still passes use_cache=False
 
     def validate(self) -> None:
         if self.mode not in ("level_p", "level_one"):
             raise InvalidConfig(f"unknown mode {self.mode}")
-        if self.bound < 0:
-            raise InvalidConfig("bound must be nonnegative")
+        # B(1) is read off the theta coefficient at the unit index, whose trace is the field degree
+        degree = field(self.d).degree
+        if self.bound < degree:
+            raise InvalidConfig(f"bound must be at least {degree}, the trace of the unit index")
 
 
 def _coords(x: AlgebraicInteger) -> list[int]:
     return [x.a, x.b]
-
-
-def _cache_key(cfg: RunConfig, aux) -> str:
-    raw = f"v{SCHEMA_VERSION}:d{cfg.d}:p{cfg.p}:{cfg.mode}:l{aux.generator.coords()}"
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-
-def _serialize_classes(order: Order, classes: ClassSet) -> dict:
-    """Ideal bases as integer matrices of coordinates in the order basis.
-
-    Over Q(sqrt d) each basis row is followed by the coordinates of omega
-    times it, and a reader takes every other row.
-    """
-    fld = order.algebra.field
-    items = []
-    for ideal, w in zip(classes.ideals, classes.weights):
-        rows = []
-        for r in ideal.lattice.rows:
-            co = order.lattice._solve(r, ideal.lattice.den)
-            rows.append([v for c in co for v in c.coords()[: fld.degree]])
-            if fld.degree == 2:
-                rows.append([v for c in co for v in (fld.omega * c).coords()])
-        items.append({"basis": rows, "weight": w, "norm": _coords(ideal.norm)})
-    return {
-        "schema": SCHEMA_VERSION,
-        "aux_prime": _coords(classes.aux_prime.generator),
-        "classes": items,
-    }
-
-
-def _deserialize_classes(order: Order, payload: dict, aux) -> ClassSet | None:
-    """The cached class set, or None unless it is one: every norm is recomputed,
-    every left order must be `order`, the weights must be the recomputed ones
-    and sum to the mass, and no two ideals may be isomorphic."""
-    fld = order.algebra.field
-    g = fld.degree
-    try:
-        if payload["schema"] != SCHEMA_VERSION:
-            return None
-        ideals, weights = [], []
-        for item in payload["classes"]:
-            basis, norm = item["basis"][::g], item["norm"]
-            if any(type(v) is not int for v in [*norm, *(v for r in basis for v in r)]):
-                return None
-            rows = [order.lattice.combine([fld.integer(*r[c : c + g]) for c in range(0, 4 * g, g)]) for r in basis]
-            lat = QuaternionLattice.from_rows(order.algebra, rows, order.lattice.den)
-            norm = fld.integer(*norm)
-            if ideal_norm(lat, order) != norm or left_order(lat) != order:
-                return None
-            ideals.append(LeftIdeal(lat, order, norm))
-            weights.append(int(item["weight"]))
-        mass = sum(Fraction(1, w) for w in weights)
-        if mass != mass_formula(order):
-            return None
-        # a weight swap keeps the mass: every cached weight is recomputed
-        if any(unit_weight(right_order(I.lattice)) != w for I, w in zip(ideals, weights)):
-            return None
-        if not pairwise_nonisomorphic(ideals):
-            return None
-        return ClassSet(order, ideals, weights, aux, mass)
-    except (KeyError, ValueError, TypeError, IndexError, NotAnOrder):
-        return None
-
-
-def cache_lookup(cfg: RunConfig, order: Order, aux) -> ClassSet | None:
-    if not cfg.use_cache or not cfg.cache_dir:
-        return None
-    path = Path(cfg.cache_dir) / f"classes_{_cache_key(cfg, aux)}.json"
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        print(f"warning: ignoring corrupted cache entry {path}", file=sys.stderr)
-        return None
-    got = _deserialize_classes(order, payload, aux)
-    if got is None:
-        print(f"warning: ignoring stale cache entry {path}", file=sys.stderr)
-    return got
-
-
-def cache_store(cfg: RunConfig, order: Order, classes: ClassSet) -> None:
-    if not cfg.use_cache or not cfg.cache_dir:
-        return
-    path = Path(cfg.cache_dir)
-    target = path / f"classes_{_cache_key(cfg, classes.aux_prime)}.json"
-    text = json.dumps(_serialize_classes(order, classes), sort_keys=True)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        # readers never see a half-written entry: write a temp file, then rename it
-        with tempfile.NamedTemporaryFile("w", dir=path, prefix=target.stem, suffix=".tmp", delete=False) as fh:
-            fh.write(text)
-        os.replace(fh.name, target)
-    except OSError as exc:
-        # the report does not depend on the cache, so an unusable cache path only warns
-        print(f"warning: could not write cache entry {target}: {exc}", file=sys.stderr)
 
 
 def _default_hecke(fld, p: int, bound: int) -> list:
@@ -306,9 +193,9 @@ def _hecke_primes(cfg: RunConfig, fld) -> tuple[list, list[dict]]:
 def run(cfg: RunConfig) -> dict:
     """Full pipeline; returns the report dict (deterministic body plus timings).
 
-    Raises InvalidConfig for an out-of-range option, BadPrime when a
-    requested Hecke prime divides the level p, and CompositeP when one is
-    not prime.  Requested primes whose index trace exceeds the bound are
+    Raises InvalidConfig, before any stage runs, for an out-of-range
+    option, BadPrime when a requested Hecke prime divides the level p, and
+    CompositeP when one is not prime.  Requested primes whose index trace exceeds the bound are
     left out and listed in timings["hecke_dropped"].
     """
     cfg.validate()
@@ -331,13 +218,9 @@ def run(cfg: RunConfig) -> dict:
         if cfg.aux_prime is not None
         else default_aux_prime(fld, cfg.p)
     )
-    classes = cache_lookup(cfg, order, aux)
-    cached = classes is not None
-    if classes is None:
-        classes = ideal_classes(order, aux)
-        cache_store(cfg, order, classes)
+    classes = ideal_classes(order, aux)
     timings["classes"] = time.monotonic() - t0
-    timings["class_search"] = classes.search  # None for a cached class set
+    timings["class_search"] = classes.search
 
     t0 = time.monotonic()
     H = classes.size
@@ -427,7 +310,7 @@ def run(cfg: RunConfig) -> dict:
             "verdict": span.verdict,
         },
         "all_checks_pass": all_ok,
-        "timings": {"classes_from_cache": cached, **timings},
+        "timings": timings,
     }
     return report
 
@@ -467,8 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--aux-prime", type=int, default=None, help="auxiliary neighbor prime")
     parser.add_argument("--hecke", type=str, default=None, help="comma-separated rational primes")
     parser.add_argument("--out", type=str, default=None, help="report output path (default stdout)")
-    parser.add_argument("--cache", type=str, default=None, help="cache directory")
-    parser.add_argument("--no-cache", action="store_true")
 
     try:
         args = parser.parse_args(argv)
@@ -479,8 +360,6 @@ def main(argv: list[str] | None = None) -> int:
             bound=args.bound,
             aux_prime=args.aux_prime,
             hecke_primes=_parse_hecke(args.hecke),
-            cache_dir=args.cache,
-            use_cache=not args.no_cache,
         )
         out = Path(args.out) if args.out else None
         if out and (out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK))):

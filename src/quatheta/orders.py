@@ -427,23 +427,12 @@ def _class_key(J: LeftIdeal) -> tuple:
     return tuple(sorted(norm_counts(hom_module(J, J), bound).items()))
 
 
-def pairwise_nonisomorphic(ideals: list[LeftIdeal]) -> bool:
-    """True when no two of the ideals are isomorphic; only ideals with equal `_class_key` are tested."""
-    buckets: dict[tuple, list[LeftIdeal]] = {}
-    for J in ideals:
-        bucket = buckets.setdefault(_class_key(J), [])
-        if any(is_isomorphic(J, R) for R in bucket):
-            return False
-        bucket.append(J)
-    return True
-
-
 @dataclass
 class ClassSet:
     """A complete list of left ideal class representatives with unit weights.
 
     `search` holds the enumeration's work counters (candidates, buckets,
-    isomorphism_tests, isomorphism_hits); it is None for a cached set.
+    isomorphism_tests, isomorphism_hits).
     """
 
     order: Order
@@ -451,7 +440,7 @@ class ClassSet:
     weights: list[int]
     aux_prime: PrimeIdeal
     mass: Fraction
-    search: dict | None = None
+    search: dict
 
     @property
     def size(self) -> int:

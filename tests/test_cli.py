@@ -1,4 +1,4 @@
-"""CLI driver: exit codes, report determinism, cache behavior, golden report."""
+"""CLI driver: exit codes, report determinism, golden report."""
 
 import hashlib
 import json
@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from quatheta.cli import RunConfig, cache_lookup, cache_store, main, run, report_body
+from quatheta.cli import RunConfig, main, run, report_body
 from quatheta.fields import field
-from quatheta.orders import default_aux_prime, ideal_classes, standard_order
+from quatheta.orders import ideal_classes, standard_order
 from quatheta.quaternions import construct
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,9 +61,23 @@ def test_exit_code_composite_prime(flag, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--hecke", "2,,3"], ["--hecke", "x"], ["--bound", "-1"], ["--workers", "0"], ["--workers", "2"]]
+    "flag",
+    [
+        ["--hecke", "2,,3"],
+        ["--hecke", "x"],
+        ["--bound", "-1"],
+        ["--workers", "0"],
+        ["--workers", "2"],
+        # the unit index 1 has trace [L:Q], so B(1) needs a bound of at least that
+        ["--bound", "0"],
+        ["--field", "5", "--bound", "1"],
+    ],
 )
-def test_exit_code_invalid_config(flag, capsys):
+def test_exit_code_invalid_config(flag, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("class enumeration must not start for an invalid configuration")
+
+    monkeypatch.setattr("quatheta.cli.ideal_classes", fail)
     rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
     assert rc == 1
     captured = capsys.readouterr()
@@ -71,7 +85,7 @@ def test_exit_code_invalid_config(flag, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("flag", [["--field", "x"], ["--frobnicate"]])
+@pytest.mark.parametrize("flag", [["--field", "x"], ["--frobnicate"], ["--cache", "d"], ["--no-cache"]])
 def test_malformed_command_line_is_invalid_config(flag, capsys):
     # argparse would print its usage on stderr and exit 2
     rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
@@ -128,7 +142,7 @@ REPORT_DIGESTS = {
 
 @pytest.mark.parametrize("d,p,bound", sorted(REPORT_DIGESTS))
 def test_report_digest(d, p, bound):
-    body = report_body(run(RunConfig(d=d, p=p, bound=bound, use_cache=False)))
+    body = report_body(run(RunConfig(d=d, p=p, bound=bound)))
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_DIGESTS[(d, p, bound)]
 
@@ -137,7 +151,7 @@ def test_sqrt2_level_eleven_finishes(tmp_path):
     # the trace forms of its class keys are skewed enough that the search
     # does not finish in minutes on an unreduced Gram
     out = tmp_path / "r.json"
-    assert main(["--field", "2", "--prime", "11", "--bound", "12", "--no-cache", "--out", str(out)]) == 0
+    assert main(["--field", "2", "--prime", "11", "--bound", "12", "--out", str(out)]) == 0
     body = report_body(json.loads(out.read_text()))
     assert body["all_checks_pass"] is True
     assert body["classes"]["count"] == 7
@@ -169,110 +183,11 @@ def test_report_tables_are_shared_while_a_report_holds_them():
     assert json.dumps(report_body(c)) == json.dumps(report_body(run(RunConfig(d=1, p=11, bound=10))))
 
 
-def test_cache_cold_then_warm_identical(tmp_path):
-    cfg = dict(d=1, p=11, bound=10, cache_dir=str(tmp_path))
-    a = report_body(run(RunConfig(**cfg)))
-    assert list(tmp_path.glob("classes_*.json"))
-    b = report_body(run(RunConfig(**cfg)))
-    assert json.dumps(a) == json.dumps(b)
-
-
-def test_cache_corruption_ignored(tmp_path, capsys):
-    cfg = dict(d=1, p=11, bound=10, cache_dir=str(tmp_path))
-    a = report_body(run(RunConfig(**cfg)))
-    for f in tmp_path.glob("classes_*.json"):
-        f.write_text("{broken json")
-    b = report_body(run(RunConfig(**cfg)))
-    assert json.dumps(a) == json.dumps(b)
-    assert "corrupted" in capsys.readouterr().err
-
-
-def test_cache_with_swapped_weights_rejected(tmp_path, capsys):
-    # swapping the weights keeps sum 1/w = mass, so only recomputing them catches it
-    cfg = dict(d=1, p=11, bound=12, cache_dir=str(tmp_path))
-    run(RunConfig(**cfg))
-    (entry,) = tmp_path.glob("classes_*.json")
-    payload = json.loads(entry.read_text())
-    assert [c["weight"] for c in payload["classes"]] == [2, 3]
-    payload["classes"][0]["weight"], payload["classes"][1]["weight"] = 3, 2
-    entry.write_text(json.dumps(payload))
-    report = run(RunConfig(**cfg))
-    assert "stale cache entry" in capsys.readouterr().err
-    assert report["timings"]["classes_from_cache"] is False
-    assert report_body(report) == json.loads((GOLDEN / "q11_b12.json").read_text())
-
-
-def test_cache_round_trip_over_quadratic_field(tmp_path):
-    # over Q(sqrt d) each cached basis row is followed by omega times it
-    cfg = RunConfig(d=5, p=11, bound=6, cache_dir=str(tmp_path))
-    cold, warm = run(cfg), run(cfg)
-    assert warm["timings"]["classes_from_cache"] is True
-    assert report_body(cold) == report_body(warm)
-
-
-def _wrong_norm(payload):
-    # (Q,11): the mass and the weights still hold
-    assert payload["classes"][1]["norm"] == [2, 0]
-    payload["classes"][1]["norm"] = [7, 0]
-
-
-def _duplicate_class(payload):
-    # (Q,37): classes 1 and 2 both have norm 2 and weight 1, so only an isomorphism test tells them apart
-    payload["classes"][2]["basis"] = payload["classes"][1]["basis"]
-
-
-@pytest.mark.parametrize("p,edit", [(11, _wrong_norm), (37, _duplicate_class)])
-def test_cache_with_unverified_class_rejected(tmp_path, capsys, p, edit):
-    cfg = dict(d=1, p=p, bound=12, cache_dir=str(tmp_path))
-    cold = report_body(run(RunConfig(**cfg)))
-    (entry,) = tmp_path.glob("classes_*.json")
-    payload = json.loads(entry.read_text())
-    edit(payload)
-    entry.write_text(json.dumps(payload))
-    report = run(RunConfig(**cfg))
-    assert "stale cache entry" in capsys.readouterr().err
-    assert report["timings"]["classes_from_cache"] is False
-    assert report_body(report) == cold
-
-
-def test_class_search_counts_reported_unless_cached(tmp_path):
-    cfg = RunConfig(d=1, p=37, bound=8, cache_dir=str(tmp_path))
-    cold, warm = run(cfg), run(cfg)
-    assert cold["timings"]["class_search"] == ideal_classes(standard_order(construct(field(1), 37))).search
-    assert set(cold["timings"]["class_search"]) == {"candidates", "buckets", "isomorphism_tests", "isomorphism_hits"}
-    assert warm["timings"]["classes_from_cache"] is True
-    assert warm["timings"]["class_search"] is None
-    assert report_body(cold) == report_body(warm)
-
-
-def test_no_cache_flag(tmp_path):
-    cfg = RunConfig(d=1, p=11, bound=10, cache_dir=str(tmp_path), use_cache=False)
-    run(cfg)
-    assert not list(tmp_path.glob("classes_*.json"))
-
-
-def test_cache_store_replaces_entry_atomically(tmp_path):
-    cfg = RunConfig(d=1, p=11, bound=10, cache_dir=str(tmp_path))
-    order = standard_order(construct(field(1), 11))
-    classes = ideal_classes(order)
-    cache_store(cfg, order, classes)
-    cache_store(cfg, order, classes)
-    assert len(list(tmp_path.glob("classes_*.json"))) == 1
-    assert [f.name for f in tmp_path.iterdir() if not f.name.endswith(".json")] == []
-    got = cache_lookup(cfg, order, default_aux_prime(field(1), 11))
-    assert got is not None and got.weights == classes.weights
-
-
-def test_cache_path_that_is_a_file_only_warns(tmp_path, capsys):
-    blocker = tmp_path / "q11.json"
-    blocker.write_text("not a directory")
-    rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--cache", str(blocker)])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert report_body(json.loads(captured.out)) == json.loads((GOLDEN / "q11_b12.json").read_text())
-    assert "warning: could not write cache entry" in captured.err
-    assert "Traceback" not in captured.err
-    assert blocker.read_text() == "not a directory"
+def test_class_search_counts_reported():
+    want = ideal_classes(standard_order(construct(field(1), 37))).search
+    assert set(want) == {"candidates", "buckets", "isomorphism_tests", "isomorphism_hits"}
+    for _ in range(2):
+        assert run(RunConfig(d=1, p=37, bound=8))["timings"]["class_search"] == want
 
 
 def test_unwritable_out_path_is_invalid_config(tmp_path, monkeypatch, capsys):
@@ -284,22 +199,11 @@ def test_unwritable_out_path_is_invalid_config(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "q11.json"
     blocker.write_text("")
     for out in (blocker / "x.json", tmp_path):
-        rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--no-cache", "--out", str(out)])
+        rc = main(["--field", "1", "--prime", "11", "--bound", "12", "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
         assert json.loads(captured.out)["error"] == "InvalidConfig"
         assert captured.err == ""
-
-
-def test_schema_bump_invalidates(tmp_path):
-    cfg = dict(d=1, p=11, bound=10, cache_dir=str(tmp_path))
-    run(RunConfig(**cfg))
-    for f in tmp_path.glob("classes_*.json"):
-        payload = json.loads(f.read_text())
-        payload["schema"] = 999
-        f.write_text(json.dumps(payload))
-    b = report_body(run(RunConfig(**cfg)))  # falls back to recomputation
-    assert b["classes"]["count"] == 2
 
 
 def test_repeated_hecke_prime_checked_once(tmp_path):
@@ -311,7 +215,7 @@ def test_repeated_hecke_prime_checked_once(tmp_path):
 
 def test_module_entry_point():
     # `python -m quatheta` runs the driver and writes nothing to stderr
-    cmd = [sys.executable, "-m", "quatheta", "--field", "1", "--prime", "11", "--bound", "12", "--no-cache"]
+    cmd = [sys.executable, "-m", "quatheta", "--field", "1", "--prime", "11", "--bound", "12"]
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stderr) == (0, "")
