@@ -87,14 +87,24 @@ def _hom_table(mods, expected_level) -> _Table:
     """The report's Hom-module table: normalizer, Gram, determinant and level of each (i, j).
 
     Raises LevelMismatch when a level differs from `expected_level`.  Within
-    the table each distinct value is one [a, b] list.
+    the table each distinct value is one [a, b] list.  Over Q the Gram of
+    (j, i) is that of (i, j) after a change of Z-basis, which keeps the
+    determinant and the level, so each unordered pair is computed once; over
+    Q(sqrt d) the change is over O_L and can move the determinant by a unit
+    square.
     """
     H = len(mods)
+    rational = mods[0][0].field.degree == 1
+    dets = {}
     data = []
     for i in range(H):
         for j in range(H):
-            det, level = gram_and_level(mods[i][j], expected_level)
-            data.append((i, j, mods[i][j].normalizer, mods[i][j].gram, det, level))
+            m = mods[i][j]
+            if rational and j < i:
+                det, level = dets[j, i]
+            else:
+                det, level = dets[i, j] = gram_and_level(m, expected_level)
+            data.append((i, j, m.normalizer, m.gram, det, level))
 
     def build() -> list[dict]:
         coords: dict[AlgebraicInteger, list[int]] = {}

@@ -128,6 +128,11 @@ def _scale_row(fld, row, k: AlgebraicInteger) -> list[int]:
     return out
 
 
+def _conjugate_row(g: int, row) -> tuple[int, ...]:
+    """The integer row of conj(x): the i, j and k columns negated."""
+    return tuple(row[:g]) + tuple(-c for c in row[g:])
+
+
 def _z_structure(fld, rows) -> list[list[int]]:
     """Z-generators of the O_L-span of integer rows: each row, then omega times it."""
     if fld.degree == 1:
@@ -281,10 +286,18 @@ class QuaternionLattice:
 
     def multiply(self, other: QuaternionLattice) -> QuaternionLattice:
         """The lattice spanned by the 16 products of basis rows."""
-        fld = self.algebra.field
+        return self._product(self.rows, other)
+
+    def conjugate_multiply(self, other: QuaternionLattice) -> QuaternionLattice:
+        """conj(L) * M, from the conjugated basis rows of L without forming conj(L)'s HNF."""
+        g = self.algebra.field.degree
+        return self._product([_conjugate_row(g, r) for r in self.rows], other)
+
+    def _product(self, rows, other: QuaternionLattice) -> QuaternionLattice:
+        """The lattice spanned by the products of `rows` (over this lattice's den) with other's basis."""
         mul = _structure(self.algebra)[0]
-        size = 4 * fld.degree
-        prods = [_bilinear(mul, r, s, size) for r in self.rows for s in other.rows]
+        size = 4 * self.algebra.field.degree
+        prods = [_bilinear(mul, r, s, size) for r in rows for s in other.rows]
         return QuaternionLattice.from_rows(self.algebra, prods, self.den * other.den)
 
     def product_coordinates(self) -> list[list[tuple[AlgebraicInteger, ...]]]:
@@ -297,8 +310,7 @@ class QuaternionLattice:
     def conjugate(self) -> QuaternionLattice:
         """conj(L): the basis rows with their i, j and k columns negated."""
         g = self.algebra.field.degree
-        rows = [r[:g] + tuple(-c for c in r[g:]) for r in self.rows]
-        return QuaternionLattice.from_rows(self.algebra, rows, self.den)
+        return QuaternionLattice.from_rows(self.algebra, [_conjugate_row(g, r) for r in self.rows], self.den)
 
     def scale(self, c) -> QuaternionLattice:
         return QuaternionLattice.from_generators(self.algebra, [b.scale(c) for b in self.basis()])
@@ -367,7 +379,7 @@ class QuaternionLattice:
         out = None
         for b, r in enumerate(self.rows):
             n = fld.integer(*(c // 2 for c in gram[b][b]))
-            inv = r[:g] + tuple(-c for c in r[g:])  # conj(r)
+            inv = _conjugate_row(g, r)
             if g == 2:
                 inv = _scale_row(fld, inv, n.conjugate())
             prods = [

@@ -2,7 +2,12 @@
 level-p Eichler orders (and the maximal orders of trivial discriminant when
 every residue degree above p is even), neighbor construction at an auxiliary
 prime, ideal-class enumeration with a mass-formula termination certificate,
-and unit-group weights."""
+and unit-group weights.
+
+An order is certified closed by its structure constants, which are kept;
+ideal classes are bucketed by the theta prefix of each ideal's own
+normalized form, so a candidate costs no lattice product before its
+isomorphism tests."""
 
 from __future__ import annotations
 
@@ -40,19 +45,17 @@ class Order:
         self.algebra = lattice.algebra
         if not lattice.contains(self.algebra.one):
             raise NotAnOrder("lattice does not contain 1")
-        self._structure = None
         self._disc = None
-        # with 1 in the lattice L, L*L contains L, so closure means L*L == L
-        if lattice.multiply(lattice) != lattice:
-            raise NotAnOrder("lattice is not closed under multiplication")
+        try:  # every b_m * b_n has coordinates in O_L exactly when L*L <= L
+            self._structure = lattice.product_coordinates()
+        except ValueError:
+            raise NotAnOrder("lattice is not closed under multiplication") from None
 
     def basis(self):
         return self.lattice.basis()
 
     def structure_constants(self):
         """coords of b_m * b_n in the order basis, as AlgebraicInteger 4-vectors."""
-        if self._structure is None:
-            self._structure = self.lattice.product_coordinates()
         return self._structure
 
     def reduced_discriminant(self) -> AlgebraicInteger:
@@ -417,14 +420,14 @@ def is_isomorphic(I: LeftIdeal, J: LeftIdeal) -> bool:
 
 def _class_key(J: LeftIdeal) -> tuple:
     """An isomorphism invariant of the class of J: the (nu, count) pairs of
-    the normalized form on conj(J)J up to trace isqrt(p) + 1.
+    the normalized form Nrd/nrd(J) on J itself up to trace isqrt(p) + 1.
 
-    If J' = Jx then conj(J')J' = conj(x) conj(J)J x.  Nrd scales by
-    Nrd(x)^2 and the canonical normalizer absorbs that up to a totally
-    positive unit eps^2, so z -> eps conj(x) z x preserves the form.
+    If J' = Jx then nrd(J') = nrd(J) Nrd(x) eps for a totally positive unit
+    eps, which is a square u^2 under narrow class number one, so j -> j x u
+    maps J onto J' and preserves the normalized form.
     """
     bound = isqrt(J.order.algebra.p) + 1
-    return tuple(sorted(norm_counts(hom_module(J, J), bound).items()))
+    return tuple(sorted(norm_counts(degree_module(J.lattice, J.norm), bound).items()))
 
 
 @dataclass

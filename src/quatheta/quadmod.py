@@ -2,12 +2,16 @@
 canonical totally positive generator of the reduced norm of the lattice, and
 the one count of their elements of small norm.
 
-A Hom module between two ideal classes, and an order with n = 1, are both
-such lattices.  Every small-norm question (theta coefficients, class keys,
-isomorphism tests, unit weights) asks only how often each value occurs, and
-is answered by `norm_counts`: one short-vector search on the LLL-reduced
-integer trace form Tr_{L/Q}(B) of rank 4g, which hands back each value with
-its vector, so no element is built and no vector is mapped back."""
+A Hom module between two ideal classes (n = nrd(I_i) nrd(I_j)), a left
+ideal (n = its norm) and an order (n = 1) are all such lattices, and
+`degree_module`'s integrality and unit-content check certifies n.  Every
+small-norm question (theta coefficients, class keys, isomorphism tests,
+unit weights) asks only how often each value occurs, and is answered by
+`norm_counts`: one short-vector search on the LLL-reduced integer trace form
+Tr_{L/Q}(B) of rank 4g, which hands back each value with its vector (over
+Q(sqrt d) also the value of Tr(omega B), carried down the same search), so
+no element is built, no vector is mapped back and no form is evaluated per
+vector."""
 
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from .fields import (
     field_gcd,
     is_associate,
 )
-from .lattices import QuaternionLattice
+from .lattices import QuaternionLattice, _scale_row
 from .quaternions import QuaternionElement
 from .shortvec import DEFAULT_CAP, lll_reduce, short_vectors
 
@@ -63,13 +67,22 @@ class QuadraticModule:
 
 
 def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: int = 0, j: int = 0) -> QuadraticModule:
-    """The lattice with Q = Nrd/normalizer; raises unless Q is integral with unit content."""
+    """The lattice with Q = Nrd/normalizer; raises unless Q is integral with unit content.
+
+    Integrality and unit content together say that the normalizer generates
+    the reduced norm of the lattice, so this is also the norm certificate of
+    every Hom module.
+    """
     fld = lattice.algebra.field
-    scaled = lattice.den ** 2 * normalizer  # B(b_r, b_s) = trd_gram[r][s] / (den^2 n)
-    try:
-        gram = tuple(tuple(exact_div(fld.integer(*v), scaled) for v in row) for row in lattice.trd_gram())
-    except ValueError:
-        raise ValueError("degree form is not integral: wrong normalizer") from None
+    g = fld.degree
+    s = lattice.den ** 2 * normalizer  # B(b_r, b_s) = trd_gram[r][s] / s
+    rows = [[c for v in row for c in v] for row in lattice.trd_gram()]
+    if g == 2:  # v / s = v sigma(s) / N(s), sigma the Galois conjugate
+        rows = [_scale_row(fld, row, s.conjugate()) for row in rows]
+    N = s.norm()
+    if any(c % N for row in rows for c in row):
+        raise ValueError("degree form is not integral: wrong normalizer")
+    gram = tuple(tuple(fld.integer(*(c // N for c in row[k : k + g])) for k in range(0, 4 * g, g)) for row in rows)
     mod = QuadraticModule(lattice, normalizer, i, j, gram)
     _check_unit_content(mod)
     return mod
@@ -78,11 +91,12 @@ def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: i
 def hom_module(I_i, I_j, i: int = 0, j: int = 0) -> QuadraticModule:
     """The quadratic module of maps from the class of left ideal I_i to that of I_j.
 
-    The lattice is conj(I_j) * I_i; dividing Nrd by the canonical generator
-    of its norm makes the form integral with unit content.
+    The lattice is conj(I_j) * I_i, of reduced norm nrd(I_i) nrd(I_j):
+    dividing Nrd by the canonical generator of that product makes the form
+    integral with unit content, which `degree_module` checks.
     """
-    K = I_j.lattice.conjugate().multiply(I_i.lattice)
-    return degree_module(K, lattice_norm(K, I_i.order.reduced_discriminant()), i, j)
+    K = I_j.lattice.conjugate_multiply(I_i.lattice)
+    return degree_module(K, canonical_positive_associate(I_i.norm * I_j.norm), i, j)
 
 
 def hom_modules(ideals) -> list[list[QuadraticModule]]:
@@ -191,23 +205,23 @@ def norm_counts(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP) 
 
     The search runs on the LLL-reduced trace form R = U T U^T, which
     evaluates Tr(2Q), so its budget is 2*trace_bound and each entry ends
-    with Tr(2Q) of its element.  Over Q that is 2Q.  Over Q(sqrt d), Tr(Q)
-    and Tr(omega Q), the second from the form U W U^T of Tr(2 omega Q) on
-    the same coordinates, determine a and b through a 2x2 integer system.
+    with Tr(2Q) of its element.  Over Q that is 2Q.  Over Q(sqrt d) the
+    search also carries the form U W U^T of Tr(2 omega Q) on the same
+    coordinates, so each entry ends with (Tr 2Q, Tr 2 omega Q); Tr(Q) and
+    Tr(omega Q) determine a and b through a 2x2 integer system.
     """
     fld = mod.field
     R, U = lll_reduce(trace_form(mod))
-    found = short_vectors(R, 2 * trace_bound, cap=cap)
     if fld.degree == 1:
-        return Counter((entry[-1] >> 1, 0) for entry in found)
+        return Counter((entry[-1] >> 1, 0) for entry in short_vectors(R, 2 * trace_bound, cap=cap))
     W = trace_form(mod, fld.omega)
     UW = [[sum(map(mul, row, col)) for col in zip(*W)] for row in U]
     RW = [[sum(map(mul, row, u)) for u in U] for row in UW]  # U W U^T
+    found = short_vectors(R, 2 * trace_bound, cap=cap, second=RW)
     t, n = fld.omega_trace, fld.omega_norm
     disc = t * t - 4 * n
-    traces = Counter((entry[-1], _form(RW, entry)) for entry in found)  # (Tr 2Q, Tr 2 omega Q)
     counts = {}
-    for (v1, v2), count in traces.items():
+    for (v1, v2), count in Counter(entry[-2:] for entry in found).items():  # (Tr 2Q, Tr 2 omega Q)
         h1, h2 = v1 >> 1, v2 >> 1  # Tr Q = 2a + t b, Tr(omega Q) = t a + (t^2 - 2n) b
         a, ra = divmod((t * t - 2 * n) * h1 - t * h2, disc)
         b, rb = divmod(2 * h2 - t * h1, disc)
@@ -215,12 +229,6 @@ def norm_counts(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP) 
             raise ArithmeticError(f"degree form value with traces ({h1}, {h2}) is not in O_L")
         counts[a, b] = count
     return counts
-
-
-def _form(rows: list[list[int]], vec) -> int:
-    """x^T G x for the first len(G) entries of `vec` (a search entry ends with
-    its value); even for the trace forms here, whose diagonals are traces of 2Q."""
-    return sum(c * sum(map(mul, row, vec)) for c, row in zip(vec, rows) if c)
 
 
 # ---------------------------------------------------------------------------

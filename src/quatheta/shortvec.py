@@ -11,8 +11,11 @@ so after scaling by E = lcm_k(D_k D_{k+1}) level k spends w_k t_k^2 of an
 integer budget, w_k = E / (D_k D_{k+1}).  The interval of x_k is exact:
 |t_k| <= isqrt(R // w_k) for the remaining budget R, and a vector's value
 x^T G x is (E * budget - R_leaf) / E, read off the budget left at its leaf.
-No floating point and no rational arithmetic is used.  One vector per
-+-pair is returned: the highest-index nonzero coordinate is positive.
+A second integer form W can ride along: each level adds its term
+(W_kk x_k + 2 sum_{j>k} W_kj x_j) x_k, so every entry also carries x^T W x
+without a separate evaluation.  No floating point and no rational
+arithmetic is used.  One vector per +-pair is returned: the highest-index
+nonzero coordinate is positive.
 
 The search visits every node whose partial sum fits the budget, so its cost
 follows how skewed the basis is.  `lll_reduce` first brings the Gram to an
@@ -130,14 +133,17 @@ def _ldl_fraction_free(gram: list[list[int]]) -> tuple[list[int], list[list[int]
     return minors, a
 
 
-def short_vectors(gram: list[list[int]], budget: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+def short_vectors(
+    gram: list[list[int]], budget: int, cap: int = DEFAULT_CAP, second: list[list[int]] | None = None
+) -> list[tuple[int, ...]]:
     """All x != 0 with x^T G x <= budget, one x per {x, -x}, in a fixed order.
 
     Each entry is (x_0, ..., x_{n-1}, x^T G x): the coordinates, then the
-    value.  A flat tuple of integers rather than a pair, so the garbage
-    collector stops tracking it at its first pass.  Coordinates are chosen
-    from the last to the first, each in increasing order, so the output is
-    ordered by the reversed coordinate tuple.
+    value.  With a second integer Gram W (symmetric, any signature) each
+    entry ends with x^T W x as well.  A flat tuple of integers rather than a
+    pair, so the garbage collector stops tracking it at its first pass.
+    Coordinates are chosen from the last to the first, each in increasing
+    order, so the output is ordered by the reversed coordinate tuple.
     """
     n = len(gram)
     minors, m = _ldl_fraction_free(gram)
@@ -146,19 +152,22 @@ def short_vectors(gram: list[list[int]], budget: int, cap: int = DEFAULT_CAP) ->
     scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
     weights = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     out: list[tuple[int, ...]] = []
-    form = (m, minors, weights, scale, scale * budget, cap)
-    _search(n - 1, scale * budget, [0] * n, form, out)
+    form = (m, minors, weights, scale, scale * budget, cap, second)
+    _search(n - 1, scale * budget, 0, [0] * n, form, out)
     return out
 
 
-def _search(level, rest, x, form, out) -> None:
+def _search(level, rest, acc, x, form, out) -> None:
     """DFS over x[level], then the coordinates below it; `rest` is the scaled budget left.
 
-    While every coordinate above `level` is zero the current one starts at 0,
-    so exactly one vector of each pair {x, -x} is visited.  A module-level
-    function rather than a closure, so no reference cycle keeps `out` alive.
+    `acc` is the second form's value so far, sum_{k > level} (W_kk x_k +
+    2 sum_{j>k} W_kj x_j) x_k; each level adds its own term, so a leaf run
+    reads x^T W x as a quadratic in x_0, like the main value.  While every
+    coordinate above `level` is zero the current one starts at 0, so exactly
+    one vector of each pair {x, -x} is visited.  A module-level function
+    rather than a closure, so no reference cycle keeps `out` alive.
     """
-    m, minors, weights, scale, total, cap = form
+    m, minors, weights, scale, total, cap, W = form
     pivot = minors[level + 1]
     row = m[level]
     center = 0
@@ -170,18 +179,33 @@ def _search(level, rest, x, form, out) -> None:
     hi = (radius - center) // pivot
     if not any(x[level + 1 :]):
         lo = max(lo, 1 if level == 0 else 0)  # level 0 also skips the zero vector
+    if lo > hi:
+        return
+    if W is not None:
+        wrow = W[level]
+        wdiag = wrow[level]
+        wcenter = 0
+        for j in range(level + 1, len(x)):
+            wcenter += wrow[j] * x[j]
+        wcenter *= 2
     if level == 0:
-        if lo <= hi:
-            tail = tuple(x[1:])
-            # the leaf leaves rest - w t^2 of the budget, so the value is (total - rest + w t^2) / E;
-            # with t = pivot v + center that is (pivot v + 2 center) v plus the value at v = 0
-            base = (total - rest + w * center * center) // scale
-            out += [(v, *tail, (pivot * v + 2 * center) * v + base) for v in range(lo, hi + 1)]
-            if len(out) > cap:
-                raise BoundTooLarge(f"enumeration exceeded cap of {cap} vectors")
+        tail = tuple(x[1:])
+        # the leaf leaves rest - w t^2 of the budget, so the value is (total - rest + w t^2) / E;
+        # with t = pivot v + center that is (pivot v + 2 center) v plus the value at v = 0
+        base = (total - rest + w * center * center) // scale
+        center *= 2
+        if W is None:
+            out += [(v, *tail, (pivot * v + center) * v + base) for v in range(lo, hi + 1)]
+        else:
+            out += [
+                (v, *tail, (pivot * v + center) * v + base, (wdiag * v + wcenter) * v + acc)
+                for v in range(lo, hi + 1)
+            ]
+        if len(out) > cap:
+            raise BoundTooLarge(f"enumeration exceeded cap of {cap} vectors")
         return
     for v in range(lo, hi + 1):
         t = pivot * v + center
         x[level] = v
-        _search(level - 1, rest - w * t * t, x, form, out)
+        _search(level - 1, rest - w * t * t, acc if W is None else acc + (wdiag * v + wcenter) * v, x, form, out)
     x[level] = 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quatheta.errors import LevelMismatch
 from quatheta.fields import field, field_gcd, is_associate
 from quatheta.orders import ideal_classes, level_one_order, standard_order, unit_weight
-from quatheta.quadmod import gram_and_level, hom_module, hom_modules
+from quatheta.quadmod import degree_module, gram_and_level, hom_module, hom_modules, lattice_norm
 from quatheta.quaternions import construct
 from quatheta.theta import theta
 
@@ -65,6 +65,23 @@ def test_gram_and_level_matches_inverse_reference_on_hom_modules(d, p):
     for row in hom_modules(_classes(d, p).ideals):
         for m in row:
             assert gram_and_level(m, F.integer(p)) == gram_level_by_inverse(F, m.gram)
+
+
+@pytest.mark.parametrize("d,p", [(1, 67), (5, 11), (2, 7)])
+def test_hom_normalizer_is_the_certified_lattice_norm(d, p):
+    """The normalizer nrd(I_i) nrd(I_j) equals the norm certified by the
+    discriminant of conj(I_j) I_i, built here through the conjugate lattice;
+    twice it fails the integrality and unit-content check."""
+    cs = _classes(d, p)
+    disc = cs.order.reduced_discriminant()
+    for i, I in enumerate(cs.ideals):
+        for j, J in enumerate(cs.ideals):
+            m = hom_module(I, J, i, j)
+            K = J.lattice.conjugate().multiply(I.lattice)
+            assert m.lattice == K
+            assert m.normalizer == lattice_norm(K, disc)
+            with pytest.raises(ValueError):
+                degree_module(K, 2 * m.normalizer)
 
 
 def test_unit_value_detects_isomorphism():

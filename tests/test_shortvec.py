@@ -112,6 +112,18 @@ def test_cap_raises_bound_too_large(case):
             short_vectors(gram, budget, cap=count - 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(gram_and_budget(), st.data())
+def test_second_form_is_carried_exactly(case, data):
+    gram, budget = case
+    n = len(gram)
+    upper = {(i, j): data.draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
+    W = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    got = short_vectors(gram, budget, second=W)
+    assert [e[:-1] for e in got] == short_vectors(gram, budget)
+    assert all(e[-1] == _norm(W, e[:n]) for e in got)
+
+
 def test_non_positive_definite_rejected():
     with pytest.raises(ValueError, match="not positive definite"):
         short_vectors([[1, 2], [2, 1]], 5)
