@@ -7,7 +7,6 @@ from .cli import RunConfig, run
 from .fields import (
     AlgebraicInteger,
     FieldDescriptor,
-    FieldElement,
     enumerate_totally_positive,
     field,
     prime_splitting,
@@ -28,7 +27,6 @@ from .theta import theta, theta_difference, theta_matrix
 __all__ = [
     "AlgebraicInteger",
     "FieldDescriptor",
-    "FieldElement",
     "RunConfig",
     "brandt",
     "classical_dimension",

@@ -37,17 +37,23 @@ def difference_rows(thetas: list[list[ThetaSeries]]) -> list[tuple[int, ...]]:
     return rows
 
 
-def span_rank(thetas: list[list[ThetaSeries]], expected_dimension: int | None = None) -> SpanReport:
+def span_rank(
+    thetas: list[list[ThetaSeries]],
+    expected_dimension: int | None = None,
+    rows: list[tuple[int, ...]] | None = None,
+) -> SpanReport:
     """Exact rank over Q of the theta-difference coefficient matrix.
 
-    Stability is recorded by comparing with the rank of the columns of
-    trace at most bound-4; a report with stable=False means the bound is
+    `rows` are the `difference_rows` of the thetas, built here when not
+    given.  Stability is recorded by comparing with the rank of the columns
+    of trace at most bound-4; a report with stable=False means the bound is
     too small for the rank to have settled.
     """
     H = len(thetas)
     bound = thetas[0][0].bound
     nus = thetas[0][0].nus
-    rows = difference_rows(thetas)
+    if rows is None:
+        rows = difference_rows(thetas)
     if not rows:
         report = SpanReport(H, bound, 0, [], expected_dimension, True, "")
         report.verdict = _verdict(report)
@@ -100,17 +106,19 @@ def hecke_stability(
     classes: ClassSet,
     thetas: list[list[ThetaSeries]],
     primes: list[PrimeIdeal],
+    rows: list[tuple[int, ...]],
+    base_rank: int,
 ) -> CheckReport:
     """Exact stability of the difference span under every Brandt action on the source index.
 
-    Applying B(q) to the family theta_ij over i sends each difference into
-    an integer combination of differences (row sums cancel the Eisenstein
-    part), so the span must be preserved exactly; this is verified by rank.
+    `rows` are the `difference_rows` of the thetas and `base_rank` their
+    rank.  Applying B(q) to the family theta_ij over i sends each difference
+    into an integer combination of differences (row sums cancel the
+    Eisenstein part), so the span must be preserved exactly; this is
+    verified by rank.
     """
     report = CheckReport()
     H = classes.size
-    rows = difference_rows(thetas)
-    base_rank, _ = rank_and_pivots_int([list(r) for r in rows]) if rows else (0, [])
     bound = thetas[0][0].bound
     for q in primes:
         if prime_power_index(q, 1).trace() > bound:
@@ -167,8 +175,9 @@ def hilbert_consistency(
 ) -> tuple[SpanReport, CheckReport]:
     """Property-based verdict for real quadratic fields: span rank reported,
     Hecke stability and Eisenstein identities asserted exactly."""
-    span = span_rank(thetas, expected_dimension=None)
-    checks = hecke_stability(classes, thetas, primes)
+    rows = difference_rows(thetas)
+    span = span_rank(thetas, None, rows)
+    checks = hecke_stability(classes, thetas, primes, rows, span.rank)
     for c in eisenstein_weighted_sums(classes, thetas).checks:
         checks.checks.append(c)
     return span, checks

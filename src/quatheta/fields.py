@@ -44,9 +44,6 @@ class FieldDescriptor:
             raise ValueError("rational field has no omega component")
         return AlgebraicInteger(self, a, b)
 
-    def element(self, a: int, b: int = 0, den: int = 1) -> FieldElement:
-        return FieldElement.make(self.integer(a, b), den)
-
     @property
     def zero(self) -> AlgebraicInteger:
         return self.integer(0)
@@ -196,129 +193,6 @@ class AlgebraicInteger:
 
     def coords(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def to_element(self) -> FieldElement:
-        return FieldElement(self.field, self, 1)
-
-
-class FieldElement:
-    """An element of L in lowest terms: AlgebraicInteger numerator over a positive integer."""
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, fld: FieldDescriptor, num: AlgebraicInteger, den: int):
-        # Internal: assumes already reduced with den > 0; use make() otherwise.
-        self.field = fld
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def make(num: AlgebraicInteger, den: int) -> FieldElement:
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(gcd(abs(num.a), abs(num.b)), den)
-        if g > 1:
-            num = AlgebraicInteger(num.field, num.a // g, num.b // g)
-            den //= g
-        return FieldElement(num.field, num, den)
-
-    def _coerce(self, other) -> FieldElement:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("mixed fields")
-            return other
-        if isinstance(other, AlgebraicInteger):
-            return other.to_element()
-        if isinstance(other, int):
-            return self.field.integer(other).to_element()
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement.make(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement.make(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, -self.num, self.den)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement.make(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        nn = o.num * o.num.conjugate()  # rational integer equal to num * conj(num)
-        return FieldElement.make(self.num * o.num.conjugate() * o.den, self.den * nn.a)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, AlgebraicInteger)):
-            return self.den == 1 and self.num == other
-        return (
-            isinstance(other, FieldElement)
-            and self.field is other.field
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.field.d, self.num.a, self.num.b, self.den))
-
-    def __repr__(self) -> str:
-        if self.den == 1:
-            return repr(self.num)
-        return f"{self.num!r}/{self.den}"
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def to_integer(self) -> AlgebraicInteger:
-        if self.den != 1:
-            raise ValueError(f"{self!r} is not integral")
-        return self.num
-
-    def conjugate(self) -> FieldElement:
-        return FieldElement(self.field, self.num.conjugate(), self.den)
-
-    def norm(self) -> Fraction:
-        return Fraction(self.num.norm(), self.den * self.den)
-
-    def trace(self) -> Fraction:
-        return Fraction(self.num.trace(), self.den)
-
-    def is_totally_positive(self) -> bool:
-        return self.num.is_totally_positive()
-
-    def coords(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(self.num.a, self.den), Fraction(self.num.b, self.den))
 
 
 def _quotient(x: AlgebraicInteger, y: AlgebraicInteger) -> AlgebraicInteger | None:

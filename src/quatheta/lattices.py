@@ -18,9 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fields import AlgebraicInteger, FieldElement, exact_div, field_gcd
+from .fields import AlgebraicInteger, exact_div, field_gcd
 from .linalg import hnf_int, kernel_int
-from .quaternions import QuaternionAlgebra, QuaternionElement
+from .quaternions import QuaternionAlgebra
 
 
 def hnf_ol(fld, zrows: list[list[int]]) -> list[list[int]]:
@@ -61,33 +61,47 @@ def _structure(algebra: QuaternionAlgebra):
     """Sparse structure constants on the Z-basis e_{g*c+k} = omega^k * (1, i, j, k)[c].
 
     Returns (mul, trd): mul[p] lists (q, m, c) with e_p e_q = sum c e_m, and
-    trd[p] lists (q, k, c) with Trd(e_p conj(e_q)) = sum c omega^k.
+    trd[p] lists (q, k, c) with Trd(e_p conj(e_q)) = sum c omega^k.  Read off
+    i^2 = a, j^2 = b, ij = -ji = k (so k^2 = -ab, ik = -ki = aj, kj = -jk = bi)
+    with omega central, omega^2 = t omega - n, and Trd(u conj(u')) = 0 for
+    distinct units u, u' of (1, i, j, k) but 2 Nrd(u) for u = u'.
     """
     fld = algebra.field
     g = fld.degree
-    powers = [fld.one.to_element()] + ([fld.omega.to_element()] if g == 2 else [])
-    basis = [b.scale(w) for b in algebra.basis() for w in powers]
+    a, b, one = algebra.a, algebra.b, fld.one
+    # units[c][d] = (e, s) with u_c u_d = s u_e
+    units = (
+        ((0, one), (1, one), (2, one), (3, one)),
+        ((1, one), (0, a), (3, one), (2, a)),
+        ((2, one), (3, -one), (0, b), (1, -b)),
+        ((3, one), (2, -a), (1, b), (0, -a * b)),
+    )
+    nrd = (one, -a, -b, a * b)
+    powers = (one,) if g == 1 else (one, fld.omega, fld.omega * fld.omega)
 
-    def ints(c: FieldElement) -> tuple[int, ...]:
-        return c.to_integer().coords()[:g]
+    def ints(x) -> tuple[int, ...]:
+        return x.coords()[:g]
 
     mul = tuple(
         tuple(
-            (q, m, c)
-            for q, eq in enumerate(basis)
-            for m, c in enumerate(v for co in (ep * eq).coords() for v in ints(co))
-            if c
+            (g * d + k2, g * units[c][d][0] + m, v)
+            for d in range(4)
+            for k2 in range(g)
+            for m, v in enumerate(ints(units[c][d][1] * powers[k1 + k2]))
+            if v
         )
-        for ep in basis
+        for c in range(4)
+        for k1 in range(g)
     )
     trd = tuple(
         tuple(
-            (q, k, c)
-            for q, eq in enumerate(basis)
-            for k, c in enumerate(ints((ep * eq.conjugate()).reduced_trace()))
-            if c
+            (g * c + k2, k, v)
+            for k2 in range(g)
+            for k, v in enumerate(ints(2 * nrd[c] * powers[k1 + k2]))
+            if v
         )
-        for ep in basis
+        for c in range(4)
+        for k1 in range(g)
     )
     return mul, trd
 
@@ -102,19 +116,6 @@ def _bilinear(terms, x, y, size: int) -> list[int]:
                 if yq:
                     out[m] += c * xp * yq
     return out
-
-
-def _integer_rows(g: int, elems: list[QuaternionElement]) -> tuple[list[list[int]], int]:
-    """Integer rows of the elements over their least common denominator."""
-    den = lcm(1, *(c.den for q in elems for c in q.coords()))
-    rows = []
-    for q in elems:
-        row = []
-        for c in q.coords():
-            s = den // c.den
-            row += (c.num.a * s, c.num.b * s)[:g]
-        rows.append(row)
-    return rows, den
 
 
 def _scale_row(fld, row, k: AlgebraicInteger) -> list[int]:
@@ -158,11 +159,7 @@ class QuaternionLattice:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_generators(algebra: QuaternionAlgebra, gens: list[QuaternionElement]) -> QuaternionLattice:
-        return QuaternionLattice.from_rows(algebra, *_integer_rows(algebra.field.degree, gens))
-
-    @staticmethod
-    def from_rows(algebra: QuaternionAlgebra, rows, den: int) -> QuaternionLattice:
+    def from_generators(algebra: QuaternionAlgebra, rows, den: int) -> QuaternionLattice:
         """The lattice spanned over O_L by the elements row/den, for integer rows of length 4g."""
         return QuaternionLattice._from_z_rows(algebra, _z_structure(algebra.field, rows), den)
 
@@ -192,27 +189,11 @@ class QuaternionLattice:
         g = fld.degree
         return tuple(tuple(fld.integer(*r[c : c + g]) for c in range(0, len(r), g)) for r in self.rows)
 
-    def basis(self) -> list[QuaternionElement]:
-        return [
-            self.algebra.element(*[FieldElement.make(e, self.den) for e in row])
-            for row in self.mat
-        ]
-
     def z_rows(self) -> list[list[int]]:
         """Integer rows of the rank-4g Z-structure, interleaved (b_m, omega*b_m)."""
         if self._zrows is None:
             self._zrows = _z_structure(self.algebra.field, self.rows)
         return self._zrows
-
-    def z_basis(self) -> list[QuaternionElement]:
-        """Quaternions of the Z-structure in the same order as z_rows()."""
-        f = self.algebra.field
-        out = []
-        for b in self.basis():
-            out.append(b)
-            if f.degree == 2:
-                out.append(b.scale(f.omega.to_element()))
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -230,15 +211,11 @@ class QuaternionLattice:
 
     # -- membership ----------------------------------------------------------
 
-    def coordinates(self, q: QuaternionElement) -> list[AlgebraicInteger]:
-        """Coordinates of q in the lattice basis; raises ValueError unless q is in the lattice."""
-        (row,), den = _integer_rows(self.algebra.field.degree, [q])
-        return self._solve(row, den)
-
-    def _solve(self, row, den: int) -> list[AlgebraicInteger]:
+    def coordinates(self, row, den: int) -> list[AlgebraicInteger]:
         """Coordinates of the element row/den by back-substitution in the O_L-triangular rows.
 
-        Every step is an exact division in O_L; raises ValueError when one fails.
+        Every step is an exact division in O_L; raises ValueError when one
+        fails, that is unless the element is in the lattice.
         """
         fld = self.algebra.field
         g = fld.degree
@@ -263,24 +240,13 @@ class QuaternionLattice:
         return out
 
     def combine(self, coeffs) -> list[int]:
-        """The integer row, over den, of sum c_m b_m for c_m in O_L; the inverse of `_solve`."""
+        """The integer row, over den, of sum c_m b_m for c_m in O_L; the inverse of `coordinates`."""
         fld = self.algebra.field
         out = [0] * (4 * fld.degree)
         for c, r in zip(coeffs, self.rows):
             if not c.is_zero():
                 out = [a + b for a, b in zip(out, _scale_row(fld, r, c))]
         return out
-
-    def contains(self, q: QuaternionElement) -> bool:
-        """Membership: q is in the lattice exactly when its coordinates are in O_L."""
-        try:
-            self.coordinates(q)
-        except ValueError:
-            return False
-        return True
-
-    def contains_lattice(self, other: QuaternionLattice) -> bool:
-        return all(self.contains(b) for b in other.basis())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -298,25 +264,19 @@ class QuaternionLattice:
         mul = _structure(self.algebra)[0]
         size = 4 * self.algebra.field.degree
         prods = [_bilinear(mul, r, s, size) for r in rows for s in other.rows]
-        return QuaternionLattice.from_rows(self.algebra, prods, self.den * other.den)
+        return QuaternionLattice.from_generators(self.algebra, prods, self.den * other.den)
 
     def product_coordinates(self) -> list[list[tuple[AlgebraicInteger, ...]]]:
         """Coordinates of b_m * b_n in this basis; raises ValueError unless L*L <= L."""
         mul = _structure(self.algebra)[0]
         size = 4 * self.algebra.field.degree
         sq = self.den * self.den
-        return [[tuple(self._solve(_bilinear(mul, r, s, size), sq)) for s in self.rows] for r in self.rows]
+        return [[tuple(self.coordinates(_bilinear(mul, r, s, size), sq)) for s in self.rows] for r in self.rows]
 
     def conjugate(self) -> QuaternionLattice:
         """conj(L): the basis rows with their i, j and k columns negated."""
         g = self.algebra.field.degree
-        return QuaternionLattice.from_rows(self.algebra, [_conjugate_row(g, r) for r in self.rows], self.den)
-
-    def scale(self, c) -> QuaternionLattice:
-        return QuaternionLattice.from_generators(self.algebra, [b.scale(c) for b in self.basis()])
-
-    def right_multiply(self, q: QuaternionElement) -> QuaternionLattice:
-        return QuaternionLattice.from_generators(self.algebra, [b * q for b in self.basis()])
+        return QuaternionLattice.from_generators(self.algebra, [_conjugate_row(g, r) for r in self.rows], self.den)
 
     def intersect(self, other: QuaternionLattice) -> QuaternionLattice:
         d = lcm(self.den, other.den)
@@ -386,6 +346,6 @@ class QuaternionLattice:
                 _bilinear(mul, t, inv, size) if side == "left" else _bilinear(mul, inv, t, size)
                 for t in self.rows
             ]
-            piece = QuaternionLattice.from_rows(self.algebra, prods, n.norm())
+            piece = QuaternionLattice.from_generators(self.algebra, prods, n.norm())
             out = piece if out is None else out.intersect(piece)
         return out

@@ -32,27 +32,30 @@ from .fields import (
 )
 from .lattices import QuaternionLattice, _scale_row
 from .linalg import residue_nullspace, residue_rowreduce
-from .quadmod import degree_module, hom_module, lattice_norm, norm_counts
+from .quadmod import degree_module, hom_module, norm_counts
 from .quaternions import QuaternionAlgebra, verify_ramification
 from .shortvec import short_vectors  # noqa: F401  (unused; perfbench/test_perfbench.py reads this binding)
 
 
 class Order:
-    """A certified order: full lattice containing 1 and closed under multiplication."""
+    """A certified order: full lattice containing 1 and closed under multiplication.
+
+    `one` holds the coordinates of 1 in the lattice basis.
+    """
 
     def __init__(self, lattice: QuaternionLattice):
         self.lattice = lattice
         self.algebra = lattice.algebra
-        if not lattice.contains(self.algebra.one):
-            raise NotAnOrder("lattice does not contain 1")
+        one = [1] + [0] * (4 * self.algebra.field.degree - 1)
+        try:
+            self.one = lattice.coordinates(one, 1)
+        except ValueError:
+            raise NotAnOrder("lattice does not contain 1") from None
         self._disc = None
         try:  # every b_m * b_n has coordinates in O_L exactly when L*L <= L
             self._structure = lattice.product_coordinates()
         except ValueError:
             raise NotAnOrder("lattice is not closed under multiplication") from None
-
-    def basis(self):
-        return self.lattice.basis()
 
     def structure_constants(self):
         """coords of b_m * b_n in the order basis, as AlgebraicInteger 4-vectors."""
@@ -93,27 +96,8 @@ def unit_ideal(order: Order) -> LeftIdeal:
     return LeftIdeal(order.lattice, order, order.algebra.field.one)
 
 
-def left_order(lat: QuaternionLattice) -> Order:
-    return Order(lat.multiplier_lattice("left"))
-
-
 def right_order(lat: QuaternionLattice) -> Order:
     return Order(lat.multiplier_lattice("right"))
-
-
-# ---------------------------------------------------------------------------
-# Reduced norms of ideals
-
-
-def ideal_norm(lat: QuaternionLattice, order: "Order | None" = None) -> AlgebraicInteger:
-    """Canonical totally positive generator of the ideal generated by all Nrd values.
-
-    `order` is the left or right order of the lattice (the right order when
-    not given); its discriminant certifies the norm (`lattice_norm`).
-    """
-    if order is None:
-        order = right_order(lat)
-    return lattice_norm(lat, order.reduced_discriminant())
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +115,7 @@ class ResidueAlgebra:
         self.table = [
             [tuple(self.F.reduce(c) for c in S[m][n]) for n in range(4)] for m in range(4)
         ]
-        one = order.lattice.coordinates(order.algebra.one)
-        self.one = tuple(self.F.reduce(c) for c in one)
+        self.one = tuple(self.F.reduce(c) for c in order.one)
         self.zero = (self.F.zero,) * 4
         # the images of the order basis b_m
         self.basis = [tuple(self.F.one if m == n else self.F.zero for n in range(4)) for m in range(4)]
@@ -174,7 +157,7 @@ class ResidueAlgebra:
         fld = L.algebra.field
         rows = [_scale_row(fld, r, self.prime.generator) for r in L.rows]
         rows += [L.combine([fld.integer(*c) for c in v]) for v in vecs]
-        return QuaternionLattice.from_rows(L.algebra, rows, L.den)
+        return QuaternionLattice.from_generators(L.algebra, rows, L.den)
 
 
 def _radical_basis(A: ResidueAlgebra) -> list[tuple]:
@@ -261,7 +244,7 @@ def standard_order(alg: QuaternionAlgebra) -> Order:
     fld = alg.field
     den, rows = _rational_maximal_rows(alg.p)
     rows = [[v for c in row for v in (c, 0)[: fld.degree]] for row in rows]
-    order = Order(QuaternionLattice.from_rows(alg, rows, den))
+    order = Order(QuaternionLattice.from_generators(alg, rows, den))
     target = fld.integer(alg.p)
     disc = order.reduced_discriminant()
     surplus = exact_div(disc, target)
@@ -350,33 +333,15 @@ def mass_formula(order: Order) -> Fraction:
 
 
 def _splitting_data(order: Order, prime: PrimeIdeal):
-    """An isomorphism O/qO = M_2(F) described by the action on a rank-2 module."""
+    """O/qO = M_2(F) and the reduced basis V of its rank-2 left ideal (O/qO)e, e an idempotent."""
     A = ResidueAlgebra(order, prime)
-    F = A.F
     idem = A.first_idempotent()
     if idem is None:
         raise BadPrime(f"O/{prime!r}O has no nontrivial idempotent; prime not split in the order")
-    span = [list(A.mul(e, idem)) for e in A.basis]
-    V, pivots = residue_rowreduce(F, span)
+    V, _ = residue_rowreduce(A.F, [list(A.mul(e, idem)) for e in A.basis])
     if len(V) != 2:
         raise BadPrime("idempotent module has wrong rank")
-
-    def in_V(vec):
-        # coordinates w.r.t. the reduced basis V using its pivot columns
-        co = [vec[pivots[0]], vec[pivots[1]]]
-        chk = [F.add(F.mul(co[0], V[0][c]), F.mul(co[1], V[1][c])) for c in range(4)]
-        if list(chk) != list(vec):
-            raise ArithmeticError("vector not in idempotent module")
-        return co
-
-    # phi[m] = 2x2 matrix of left multiplication by basis image e_m on V
-    phi = []
-    for e in A.basis:
-        cols = []
-        for v in V:
-            cols.append(in_V(A.mul(e, tuple(v))))
-        phi.append([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
-    return A, phi
+    return A, V
 
 
 def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> list[LeftIdeal]:
@@ -392,15 +357,14 @@ def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> 
         raise BadPrime(f"{prime!r} ramifies in the base field")
     if o_r is None:
         o_r = right_order(ideal.lattice)
-    A, phi = _splitting_data(o_r, prime)
+    A, V = _splitting_data(o_r, prime)
     F = A.F
     lines = [(F.one, F.zero)] + [(c, F.one) for c in F.elements()]
     out = []
     for (u, v) in lines:
-        rows = []
-        for r in range(2):
-            rows.append([F.add(F.mul(phi[m][r][0], u), F.mul(phi[m][r][1], v)) for m in range(4)])
-        null = residue_nullspace(F, rows)
+        # the left annihilator {x : x w = 0} of w = u V[0] + v V[1], from the columns b_m w
+        w = tuple(F.add(F.mul(u, s), F.mul(v, t)) for s, t in zip(*V))
+        null = residue_nullspace(F, [list(r) for r in zip(*(A.mul(b, w) for b in A.basis))])
         if len(null) != 2:
             raise ArithmeticError("line kernel has wrong dimension")
         J = ideal.lattice.multiply(A.preimage(null))

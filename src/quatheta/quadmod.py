@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
 from operator import mul
 
 from .errors import LevelMismatch
@@ -29,7 +28,6 @@ from .fields import (
     is_associate,
 )
 from .lattices import QuaternionLattice, _scale_row
-from .quaternions import QuaternionElement
 from .shortvec import DEFAULT_CAP, lll_reduce, short_vectors
 
 
@@ -46,24 +44,6 @@ class QuadraticModule:
     @property
     def field(self):
         return self.lattice.algebra.field
-
-    def value(self, x) -> AlgebraicInteger:
-        """Q(x) = Nrd(x)/n for a lattice element."""
-        return exact_div(x.reduced_norm().to_integer(), self.normalizer)
-
-    def element(self, vec) -> QuaternionElement:
-        """The lattice element with Z-coordinates `vec` (in `lattice.z_basis()` order)."""
-        out = None
-        for c, b in zip(vec, self.lattice.z_basis()):
-            if c == 0:
-                continue
-            term = b.scale(c)
-            out = term if out is None else out + term
-        return out
-
-    def bilinear(self, x, y) -> AlgebraicInteger:
-        """B(x, y) = Q(x+y) - Q(x) - Q(y) = Trd(x conj(y)) / n."""
-        return exact_div((x * y.conjugate()).reduced_trace().to_integer(), self.normalizer)
 
 
 def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: int = 0, j: int = 0) -> QuadraticModule:
@@ -131,46 +111,6 @@ def _check_unit_content(mod: QuadraticModule) -> None:
         if g.is_unit():
             return
     raise ValueError(f"degree form has nontrivial content ({g!r})")
-
-
-# ---------------------------------------------------------------------------
-# Reduced norms of lattices
-
-
-def lattice_norm(K: QuaternionLattice, order_disc: AlgebraicInteger) -> AlgebraicInteger:
-    """Reduced norm of a lattice K that is an ideal of orders of reduced discriminant `order_disc`.
-
-    d(K) = n^2 d(O) as ideals for n the norm, so the discriminant certifies
-    |N(n)| = t with |N(d(K))| = t^2 |N(d(O))|; `norm_gcd` then finds n.
-    """
-    t2, r = divmod(abs(K.discriminant().norm()), abs(order_disc.norm()))
-    t = isqrt(t2)
-    if r or t * t != t2:
-        raise ValueError("discriminant ratio is not a square")
-    return norm_gcd(K, t)
-
-
-def norm_gcd(lat: QuaternionLattice, t: int) -> AlgebraicInteger:
-    """Canonical totally positive generator of the ideal generated by all Nrd values.
-
-    Nrd(sum c_r b_r) = sum c_r^2 Nrd(b_r) + sum_{r<s} c_r c_s Trd(b_r conj(b_s)),
-    so the Nrd(b_r) and the Trd(b_r conj(b_s)) for r < s generate that ideal.
-    Its norm must equal `t`, the value the determinant certifies.
-    """
-    fld = lat.algebra.field
-    U = lat.trd_gram()  # den^2 Trd(b_r conj(b_s)); the diagonal is 2 den^2 Nrd(b_r)
-    g = fld.zero
-    for r in range(4):
-        g = field_gcd(g, fld.integer(*(c // 2 for c in U[r][r])))
-        for s in range(r + 1, 4):
-            g = field_gcd(g, fld.integer(*U[r][s]))
-    sq = lat.den ** 2
-    if g.a % sq or g.b % sq:
-        raise ValueError("lattice has non-integral norms")
-    n = fld.integer(g.a // sq, g.b // sq)  # still the canonical associate
-    if abs(n.norm()) != t:
-        raise ValueError(f"norm gcd {n!r} disagrees with the determinant certificate {t}")
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The totally definite quaternion algebra ramified at p and all real places,
-base-changed to L, with exact reduced norm/trace/conjugation and a
-certificate of its ramification set from closed-form local Hilbert symbols."""
+base-changed to L, with a certificate of its ramification set from
+closed-form local Hilbert symbols.  Its elements are integer rows; their
+arithmetic lives in `lattices`."""
 
 from __future__ import annotations
 
@@ -8,14 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CompositeP, RamificationMismatch, RamifiedPrime
-from .fields import (
-    AlgebraicInteger,
-    FieldDescriptor,
-    FieldElement,
-    PrimeIdeal,
-    is_prime,
-    primes_above,
-)
+from .fields import AlgebraicInteger, FieldDescriptor, PrimeIdeal, is_prime, primes_above
 
 
 def _legendre(a: int, p: int) -> int:
@@ -50,104 +44,8 @@ class QuaternionAlgebra:
     a: AlgebraicInteger
     b: AlgebraicInteger
 
-    def element(self, t, x, y, z) -> QuaternionElement:
-        coerced = tuple(
-            c if isinstance(c, FieldElement) else self.field.element(*_as_coords(c))
-            for c in (t, x, y, z)
-        )
-        return QuaternionElement(self, *coerced)
-
-    @property
-    def one(self) -> QuaternionElement:
-        return self.element(1, 0, 0, 0)
-
-    @property
-    def zero(self) -> QuaternionElement:
-        return self.element(0, 0, 0, 0)
-
-    def basis(self) -> tuple[QuaternionElement, ...]:
-        e = self.element
-        return (e(1, 0, 0, 0), e(0, 1, 0, 0), e(0, 0, 1, 0), e(0, 0, 0, 1))
-
     def __repr__(self) -> str:
         return f"({self.a!r},{self.b!r} | {self.field!r})"
-
-
-def _as_coords(c):
-    if isinstance(c, AlgebraicInteger):
-        return (c.a, c.b, 1)
-    return (c, 0, 1)
-
-
-class QuaternionElement:
-    """Coordinates (t, x, y, z) with respect to the basis (1, i, j, k)."""
-
-    __slots__ = ("algebra", "t", "x", "y", "z")
-
-    def __init__(self, alg: QuaternionAlgebra, t: FieldElement, x: FieldElement, y: FieldElement, z: FieldElement):
-        self.algebra = alg
-        self.t, self.x, self.y, self.z = t, x, y, z
-
-    def coords(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
-        return (self.t, self.x, self.y, self.z)
-
-    def __add__(self, o: QuaternionElement) -> QuaternionElement:
-        return QuaternionElement(self.algebra, self.t + o.t, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    def __sub__(self, o: QuaternionElement) -> QuaternionElement:
-        return QuaternionElement(self.algebra, self.t - o.t, self.x - o.x, self.y - o.y, self.z - o.z)
-
-    def __neg__(self) -> QuaternionElement:
-        return QuaternionElement(self.algebra, -self.t, -self.x, -self.y, -self.z)
-
-    def __mul__(self, o):
-        if isinstance(o, QuaternionElement):
-            a = self.algebra.a.to_element()
-            b = self.algebra.b.to_element()
-            t1, x1, y1, z1 = self.coords()
-            t2, x2, y2, z2 = o.coords()
-            return QuaternionElement(
-                self.algebra,
-                t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
-                t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
-                t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
-                t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2,
-            )
-        return self.scale(o)
-
-    def __rmul__(self, o):
-        return self.scale(o)
-
-    def scale(self, c) -> QuaternionElement:
-        return QuaternionElement(self.algebra, self.t * c, self.x * c, self.y * c, self.z * c)
-
-    def __eq__(self, o) -> bool:
-        return (
-            isinstance(o, QuaternionElement)
-            and self.algebra == o.algebra
-            and self.coords() == o.coords()
-        )
-
-    def __hash__(self):
-        return hash((self.t, self.x, self.y, self.z))
-
-    def __repr__(self) -> str:
-        return f"[{self.t!r}, {self.x!r}, {self.y!r}, {self.z!r}]"
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords())
-
-    def conjugate(self) -> QuaternionElement:
-        return QuaternionElement(self.algebra, self.t, -self.x, -self.y, -self.z)
-
-    def reduced_trace(self) -> FieldElement:
-        return self.t + self.t
-
-    def reduced_norm(self) -> FieldElement:
-        a = self.algebra.a.to_element()
-        b = self.algebra.b.to_element()
-        t, x, y, z = self.coords()
-        return t * t - a * x * x - b * y * y + a * b * z * z
 
 
 # ---------------------------------------------------------------------------

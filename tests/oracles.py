@@ -3,15 +3,309 @@
 Everything here recomputes expected values through a different algorithm
 from the production code path: naive box scans instead of branch-and-bound,
 full residue-ring searches instead of valuation case analysis, direct
-power-series products for eigenvalue data.
+power-series products for eigenvalue data, and quaternions with coordinates
+in L multiplied by the product formula instead of integer rows multiplied
+through structure constants.  Nothing here imports quatheta.lattices or
+quatheta.quadmod; lattices and modules are read through their `algebra`,
+`rows`, `den`, `lattice` and `normalizer` attributes only.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
+
+from quatheta.fields import AlgebraicInteger
+
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic: elements of L and quaternions with coordinates in L
+
+
+class FieldElement:
+    """An element of L in lowest terms: AlgebraicInteger numerator over a positive integer."""
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, fld, num: AlgebraicInteger, den: int):
+        # Internal: assumes already reduced with den > 0; use make() otherwise.
+        self.field = fld
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def make(num: AlgebraicInteger, den: int) -> FieldElement:
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(gcd(abs(num.a), abs(num.b)), den)
+        if g > 1:
+            num = AlgebraicInteger(num.field, num.a // g, num.b // g)
+            den //= g
+        return FieldElement(num.field, num, den)
+
+    def _coerce(self, other) -> FieldElement:
+        if isinstance(other, FieldElement):
+            if other.field is not self.field:
+                raise ValueError("mixed fields")
+            return other
+        if isinstance(other, AlgebraicInteger):
+            return fe_of(other)
+        if isinstance(other, int):
+            return fe(self.field, other)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return FieldElement.make(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return FieldElement.make(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self) -> FieldElement:
+        return FieldElement(self.field, -self.num, self.den)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return FieldElement.make(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        if o.num.is_zero():
+            raise ZeroDivisionError("division by zero field element")
+        nn = o.num * o.num.conjugate()  # rational integer equal to num * conj(num)
+        return FieldElement.make(self.num * o.num.conjugate() * o.den, self.den * nn.a)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return o / self
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, AlgebraicInteger)):
+            return self.den == 1 and self.num == other
+        return (
+            isinstance(other, FieldElement)
+            and self.field is other.field
+            and self.den == other.den
+            and self.num == other.num
+        )
+
+    def __hash__(self):
+        return hash((self.field.d, self.num.a, self.num.b, self.den))
+
+    def __repr__(self) -> str:
+        if self.den == 1:
+            return repr(self.num)
+        return f"{self.num!r}/{self.den}"
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_integral(self) -> bool:
+        return self.den == 1
+
+    def to_integer(self) -> AlgebraicInteger:
+        if self.den != 1:
+            raise ValueError(f"{self!r} is not integral")
+        return self.num
+
+    def conjugate(self) -> FieldElement:
+        return FieldElement(self.field, self.num.conjugate(), self.den)
+
+    def norm(self) -> Fraction:
+        return Fraction(self.num.norm(), self.den * self.den)
+
+    def is_totally_positive(self) -> bool:
+        return self.num.is_totally_positive()
+
+    def coords(self) -> tuple[Fraction, Fraction]:
+        return (Fraction(self.num.a, self.den), Fraction(self.num.b, self.den))
+
+
+def fe(fld, a: int, b: int = 0, den: int = 1) -> FieldElement:
+    """(a + b*omega) / den as a FieldElement."""
+    return FieldElement.make(fld.integer(a, b), den)
+
+
+def fe_of(x: AlgebraicInteger) -> FieldElement:
+    return FieldElement(x.field, x, 1)
+
+
+class QuaternionElement:
+    """Coordinates (t, x, y, z) in L with respect to the basis (1, i, j, k)."""
+
+    __slots__ = ("algebra", "t", "x", "y", "z")
+
+    def __init__(self, alg, t: FieldElement, x: FieldElement, y: FieldElement, z: FieldElement):
+        self.algebra = alg
+        self.t, self.x, self.y, self.z = t, x, y, z
+
+    def coords(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
+        return (self.t, self.x, self.y, self.z)
+
+    def __add__(self, o: QuaternionElement) -> QuaternionElement:
+        return QuaternionElement(self.algebra, self.t + o.t, self.x + o.x, self.y + o.y, self.z + o.z)
+
+    def __sub__(self, o: QuaternionElement) -> QuaternionElement:
+        return QuaternionElement(self.algebra, self.t - o.t, self.x - o.x, self.y - o.y, self.z - o.z)
+
+    def __mul__(self, o):
+        if isinstance(o, QuaternionElement):
+            a = fe_of(self.algebra.a)
+            b = fe_of(self.algebra.b)
+            t1, x1, y1, z1 = self.coords()
+            t2, x2, y2, z2 = o.coords()
+            return QuaternionElement(
+                self.algebra,
+                t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
+                t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
+                t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
+                t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2,
+            )
+        return self.scale(o)
+
+    def scale(self, c) -> QuaternionElement:
+        return QuaternionElement(self.algebra, self.t * c, self.x * c, self.y * c, self.z * c)
+
+    def __eq__(self, o) -> bool:
+        return isinstance(o, QuaternionElement) and self.algebra == o.algebra and self.coords() == o.coords()
+
+    def __hash__(self):
+        return hash((self.t, self.x, self.y, self.z))
+
+    def __repr__(self) -> str:
+        return f"[{self.t!r}, {self.x!r}, {self.y!r}, {self.z!r}]"
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coords())
+
+    def conjugate(self) -> QuaternionElement:
+        return QuaternionElement(self.algebra, self.t, -self.x, -self.y, -self.z)
+
+    def reduced_trace(self) -> FieldElement:
+        return self.t + self.t
+
+    def reduced_norm(self) -> FieldElement:
+        a = fe_of(self.algebra.a)
+        b = fe_of(self.algebra.b)
+        t, x, y, z = self.coords()
+        return t * t - a * x * x - b * y * y + a * b * z * z
+
+
+def quaternion(alg, t, x, y, z) -> QuaternionElement:
+    """The quaternion t + x i + y j + z k for coordinates given as ints, AlgebraicIntegers or FieldElements."""
+    fld = alg.field
+
+    def coerce(c):
+        if isinstance(c, FieldElement):
+            return c
+        return fe_of(c) if isinstance(c, AlgebraicInteger) else fe(fld, c)
+
+    return QuaternionElement(alg, *(coerce(c) for c in (t, x, y, z)))
+
+
+def lattice_basis(lat) -> list[QuaternionElement]:
+    """The basis of a lattice, its integer rows over its denominator, as quaternions."""
+    fld = lat.algebra.field
+    g = fld.degree
+    return [
+        quaternion(lat.algebra, *(FieldElement.make(fld.integer(*r[c : c + g]), lat.den) for c in range(0, 4 * g, g)))
+        for r in lat.rows
+    ]
+
+
+def z_basis(lat) -> list[QuaternionElement]:
+    """The Z-basis (b_m, omega*b_m) of a lattice, in the order of its Z-coordinates."""
+    fld = lat.algebra.field
+    out = []
+    for b in lattice_basis(lat):
+        out.append(b)
+        if fld.degree == 2:
+            out.append(b.scale(fe_of(fld.omega)))
+    return out
+
+
+def integer_rows(g: int, elems) -> tuple[list[list[int]], int]:
+    """Integer rows of length 4g of the quaternions over their least common denominator."""
+    den = lcm(1, *(c.den for q in elems for c in q.coords()))
+    rows = []
+    for q in elems:
+        row = []
+        for c in q.coords():
+            s = den // c.den
+            row += (c.num.a * s, c.num.b * s)[:g]
+        rows.append(row)
+    return rows, den
+
+
+def module_element(mod, vec) -> QuaternionElement:
+    """The element of a degree module with Z-coordinates `vec`."""
+    out = quaternion(mod.lattice.algebra, 0, 0, 0, 0)
+    for c, b in zip(vec, z_basis(mod.lattice)):
+        if c:
+            out = out + b.scale(c)
+    return out
+
+
+def module_value(mod, x: QuaternionElement) -> AlgebraicInteger:
+    """Q(x) = Nrd(x) / n for an element of a degree module of normalizer n."""
+    return (x.reduced_norm() / fe_of(mod.normalizer)).to_integer()
+
+
+def structure_constants(alg):
+    """(mul, trd) on the Z-basis e_{g*c+k} = omega^k * (1, i, j, k)[c], from quaternion products.
+
+    mul[p] lists (q, m, c) with e_p e_q = sum c e_m, and trd[p] lists
+    (q, k, c) with Trd(e_p conj(e_q)) = sum c omega^k, zero terms left out.
+    """
+    fld = alg.field
+    g = fld.degree
+    powers = [fe(fld, 1)] + ([fe(fld, 0, 1)] if g == 2 else [])
+    units = [quaternion(alg, *(int(c == m) for c in range(4))) for m in range(4)]
+    basis = [u.scale(w) for u in units for w in powers]
+
+    def ints(c: FieldElement) -> tuple[int, ...]:
+        return c.to_integer().coords()[:g]
+
+    mul = tuple(
+        tuple(
+            (q, m, c)
+            for q, eq in enumerate(basis)
+            for m, c in enumerate(v for co in (ep * eq).coords() for v in ints(co))
+            if c
+        )
+        for ep in basis
+    )
+    trd = tuple(
+        tuple(
+            (q, k, c)
+            for q, eq in enumerate(basis)
+            for k, c in enumerate(ints((ep * eq.conjugate()).reduced_trace()))
+            if c
+        )
+        for ep in basis
+    )
+    return mul, trd
 
 
 def eta_product_coefficients(p: int, nmax: int) -> list[int]:
@@ -64,9 +358,9 @@ def theta_box_scan(mod, bound: int) -> dict[tuple[int, int], int]:
     vectorized integer arithmetic.
     """
     fld = mod.field
-    zb = mod.lattice.z_basis()
+    zb = z_basis(mod.lattice)
     n = len(zb)
-    ne = mod.normalizer.to_element()
+    ne = fe_of(mod.normalizer)
     ga = [[0] * n for _ in range(n)]
     gb = [[0] * n for _ in range(n)]
     tr = [[0] * n for _ in range(n)]
@@ -141,7 +435,7 @@ def inverse_generic(rows, zero, one):
 
 
 def gram_level_by_inverse(fld, gram):
-    """(det, level) of an integral Gram over O_L through its FieldElement inverse.
+    """(det, level) of an integral Gram over O_L through its inverse over L.
 
     The level is the lcm of the denominators of the entries of gram^{-1},
     with the diagonal halved: the smallest N with N * gram^{-1} integral and
@@ -149,17 +443,17 @@ def gram_level_by_inverse(fld, gram):
     """
     from quatheta.fields import canonical_positive_associate, field_gcd
 
-    zero, one = fld.element(0), fld.element(1)
-    rows = [[e.to_element() for e in r] for r in gram]
+    zero, one = fe(fld, 0), fe(fld, 1)
+    rows = [[fe_of(e) for e in r] for r in gram]
     det = det_generic(rows, zero).to_integer()
     inv = inverse_generic(rows, zero, one)
     level = fld.one
     for r in range(4):
         for s in range(4):
-            e = inv[r][s] if r != s else inv[r][s] / fld.element(2)
+            e = inv[r][s] if r != s else inv[r][s] / fe(fld, 2)
             den = fld.integer(e.den)
-            need = (den.to_element() / field_gcd(e.num, den).to_element()).to_integer()
-            level = ((level * need).to_element() / field_gcd(level, need).to_element()).to_integer()
+            need = (fe_of(den) / fe_of(field_gcd(e.num, den))).to_integer()
+            level = (fe_of(level * need) / fe_of(field_gcd(level, need))).to_integer()
     return det, canonical_positive_associate(level)
 
 

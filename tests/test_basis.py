@@ -2,6 +2,7 @@
 
 from quatheta.basis import (
     classical_dimension,
+    difference_rows,
     eisenstein_weighted_sums,
     hecke_stability,
     hilbert_consistency,
@@ -86,5 +87,6 @@ def test_eisenstein_weighted_sums_exact():
 
 def test_hecke_stability_exact():
     cs, th = _setup(5, 11, 10)
-    rep = hecke_stability(cs, th, [primes_above(field(5), 2)[0]])
+    rows = difference_rows(th)
+    rep = hecke_stability(cs, th, [primes_above(field(5), 2)[0]], rows, span_rank(th, None, rows).rank)
     assert rep.all_ok, rep.failures()

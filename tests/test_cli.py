@@ -50,14 +50,46 @@ def test_exit_code_level_one_impossible(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--aux-prime", "4"], ["--hecke", "4"], ["--hecke", "9"], ["--hecke", "2,1"], ["--prime", "0"]]
+    "flag",
+    [
+        ["--aux-prime", "4"],
+        ["--hecke", "4"],
+        ["--hecke", "9"],
+        ["--hecke", "2,1"],
+        ["--prime", "0"],
+        ["--aux-prime", "1"],
+        ["--aux-prime", "-3"],
+    ],
 )
 def test_exit_code_composite_prime(flag, capsys):
     rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
     assert rc == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["error"] == "CompositeP"
-    assert "Traceback" not in captured.err
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--aux-prime", "11"],  # the level
+        ["--field", "5", "--aux-prime", "5"],  # ramified in the base field
+    ],
+)
+def test_exit_code_bad_aux_prime(flag, capsys):
+    rc = main(["--field", "1", "--prime", "11", "--bound", "12", *flag])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "BadPrime"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_prime_two_exits_zero(d, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["--field", str(d), "--prime", "2", "--bound", "10", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["all_checks_pass"] is True
 
 
 @pytest.mark.parametrize(
@@ -132,19 +164,33 @@ def test_dropped_hecke_prime_is_reported():
     assert run(RunConfig(d=1, p=11, bound=12))["timings"]["hecke_dropped"] == []
 
 
-# sha256 of json.dumps(report_body(run(cfg)), sort_keys=True), recorded before
-# lattices and Hom modules moved to integer rows
+# sha256 of json.dumps(report_body(run(cfg)), sort_keys=True), keyed by
+# (d, p, mode, bound).  The first two were recorded before lattices and Hom
+# modules moved to integer rows, the others before quaternion elements left
+# the program; they cover saturation, level one and the fields Q(sqrt2),
+# Q(sqrt13) and Q(sqrt17).
 REPORT_DIGESTS = {
-    (1, 67, 50): "2042426df5bc11a50b2625077cd1b828b8984cb72ffcfdbf9ac3e550d4f80fe6",
-    (5, 11, 12): "4d889e2aa9c25fca20721d53fdc6e845b4bdac288c23591863b0309eff19b32f",
+    (1, 67, "level_p", 50): "2042426df5bc11a50b2625077cd1b828b8984cb72ffcfdbf9ac3e550d4f80fe6",
+    (5, 11, "level_p", 12): "4d889e2aa9c25fca20721d53fdc6e845b4bdac288c23591863b0309eff19b32f",
+    (5, 2, "level_one", 10): "22d42488464e6269e57608d07cc8008925c86d2a487789ba82fbaa3c62564dba",
+    (2, 3, "level_one", 10): "c34871a9153e5e54be17ca67337e6a177f5545e87d7ceec61d6454bdeefc55ff",
+    (2, 7, "level_p", 12): "d2a117133d8564fa11c030244033796432f79e5ea7f0eaab2f75dfbb9ff0166f",
+    (13, 3, "level_p", 12): "4903863a7e3efe3ad6cdd6351c4e5a8b9f50767e03cc25716f498fa36be44e1d",
+    (17, 5, "level_p", 12): "3e8bbd5c9634037e6499fbdadfc5da21c197cb399c01d270d295676c356d86a5",
+    (1, 73, "level_p", 50): "4c3cf342dcbee81c08402702415055e4e0a664c56ddd0060e2162c1785c63efc",
+    (1, 37, "level_p", 30): "d9b6afda54b8a1090430ddf922ca67e166d325c8221628b75fdefe0f94bc76de",
 }
 
 
-@pytest.mark.parametrize("d,p,bound", sorted(REPORT_DIGESTS))
-def test_report_digest(d, p, bound):
-    body = report_body(run(RunConfig(d=d, p=p, bound=bound)))
+@pytest.mark.parametrize(
+    "d,p,mode,bound",
+    # the default mode is left out of the test id
+    [pytest.param(*key, id="-".join(str(k) for k in key if k != "level_p")) for key in sorted(REPORT_DIGESTS)],
+)
+def test_report_digest(d, p, mode, bound):
+    body = report_body(run(RunConfig(d=d, p=p, mode=mode, bound=bound)))
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
-    assert digest == REPORT_DIGESTS[(d, p, bound)]
+    assert digest == REPORT_DIGESTS[(d, p, mode, bound)]
 
 
 def test_sqrt2_level_eleven_finishes(tmp_path):

@@ -23,7 +23,7 @@ from quatheta.fields import (
 from quatheta.lattices import _z_structure
 from quatheta.linalg import hnf_int
 
-from oracles import tp_box_scan
+from oracles import fe_of, tp_box_scan
 
 
 def test_golden_ratio_norm_trace():
@@ -170,16 +170,16 @@ def test_gcd_and_xgcd():
             assert g == canonical_positive_associate(g)
             assert _ideal_hnf(F, x, y) == _ideal_hnf(F, g)
             if not x.is_zero():
-                assert (x.to_element() / g.to_element()).is_integral()
+                assert (fe_of(x) / fe_of(g)).is_integral()
             if not y.is_zero():
-                assert (y.to_element() / g.to_element()).is_integral()
+                assert (fe_of(y) / fe_of(g)).is_integral()
 
 
 def _euclid_reference(x, y):
-    """The quotient search in FieldElement arithmetic: floor of x/y plus a grid
+    """The quotient search in reference arithmetic over L: floor of x/y plus a grid
     of offsets, minimizing |norm(r)|, then the keys of r and of q."""
     F = x.field
-    qa, qb = (x.to_element() / y.to_element()).coords()
+    qa, qb = (fe_of(x) / fe_of(y)).coords()
     fa, fb = qa.numerator // qa.denominator, qb.numerator // qb.denominator
     for width in (2, 4):
         offsets = range(-width + 1, width + 1)
@@ -207,10 +207,10 @@ def test_integer_division_matches_field_elements(d, xs):
     if y.is_zero():
         return
     assert euclid_divmod(x, y) == _euclid_reference(x, y)
-    exact = (x.to_element() / y.to_element()).is_integral()
+    exact = (fe_of(x) / fe_of(y)).is_integral()
     assert divides(y, x) == exact
     if exact:
-        assert exact_div(x, y).to_element() == x.to_element() / y.to_element()
+        assert fe_of(exact_div(x, y)) == fe_of(x) / fe_of(y)
     else:
         with pytest.raises(ValueError):
             exact_div(x, y)

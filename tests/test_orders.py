@@ -11,6 +11,7 @@ from quatheta.fields import (
     canonical_positive_associate,
     enumerate_totally_positive,
     field,
+    field_gcd,
     is_associate,
     is_prime,
     primes_above,
@@ -22,9 +23,7 @@ from quatheta.orders import (
     _class_key,
     default_aux_prime,
     ideal_classes,
-    ideal_norm,
     is_isomorphic,
-    left_order,
     level_one_order,
     mass_formula,
     neighbors,
@@ -33,11 +32,39 @@ from quatheta.orders import (
     unit_ideal,
     unit_weight,
 )
-from quatheta.quadmod import degree_module, norm_gcd, trace_form
+from quatheta.quadmod import degree_module, trace_form
 from quatheta.quaternions import construct
 from quatheta.shortvec import short_vectors
 
-from oracles import det_generic
+from oracles import (
+    det_generic,
+    fe,
+    fe_of,
+    integer_rows,
+    lattice_basis,
+    module_element,
+    module_value,
+)
+
+
+def _left_order(lat):
+    return Order(lat.multiplier_lattice("left"))
+
+
+def _contains_lattice(L, M):
+    """M <= L: every basis element of M has coordinates in O_L on L's basis."""
+    try:
+        for r in M.rows:
+            L.coordinates(r, M.den)
+    except ValueError:
+        return False
+    return True
+
+
+def _right_multiple(lat, x):
+    """lat * x for a quaternion x, through reference arithmetic."""
+    gens = [b * x for b in lattice_basis(lat)]
+    return QuaternionLattice.from_generators(lat.algebra, *integer_rows(lat.algebra.field.degree, gens))
 
 
 def test_standard_order_discriminants():
@@ -49,36 +76,43 @@ def test_standard_order_discriminants():
 
 def test_lattice_with_one_but_not_closed_is_not_an_order():
     alg = construct(field(1), 11)
-    L = QuaternionLattice.from_rows(alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], 1)
-    assert L.contains(alg.one)
+    L = QuaternionLattice.from_generators(alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], 1)
+    assert [c.a for c in L.coordinates([1, 0, 0, 0], 1)] == [1, 0, 0, 0]
     with pytest.raises(NotAnOrder, match="not closed"):  # i * j = k is not in the span of 1, i, j, 2k
         Order(L)
+    half = QuaternionLattice.from_generators(alg, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1)
+    with pytest.raises(NotAnOrder, match="does not contain 1"):
+        Order(half)
 
 
 def test_integer_quaternion_lattice_discriminant():
     # Z<1,i,j,k> inside the p=2 algebra has reduced discriminant 4
     alg = construct(field(1), 2)
-    gens = [alg.element(1, 0, 0, 0), alg.element(0, 1, 0, 0), alg.element(0, 0, 1, 0), alg.element(0, 0, 0, 1)]
-    O = Order(QuaternionLattice.from_generators(alg, gens))
+    O = Order(QuaternionLattice.from_generators(alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1))
     assert O.reduced_discriminant().coords() == (4, 0)
 
 
 def test_left_right_order_examples():
     F = field(1)
     O = standard_order(construct(F, 11))
-    assert left_order(O.lattice).lattice == O.lattice
+    assert _left_order(O.lattice).lattice == O.lattice
     # conjugation by an invertible element preserves the discriminant
     J = neighbors(unit_ideal(O), primes_above(F, 2)[0])[0]
     assert is_associate(right_order(J.lattice).reduced_discriminant(), F.integer(11))
 
 
 def test_ideal_norms():
+    # the norm certificate accepts exactly the ideal's norm as the normalizer
     F = field(1)
     O = standard_order(construct(F, 11))
-    assert ideal_norm(O.lattice).coords() == (1, 0)
-    assert ideal_norm(O.lattice.scale(F.element(2))).coords() == (4, 0)
+    two = QuaternionLattice.from_generators(O.algebra, [[2 * c for c in r] for r in O.lattice.rows], O.lattice.den)
     J = neighbors(unit_ideal(O), primes_above(F, 3)[0])[0]
-    assert ideal_norm(J.lattice).coords() == (3, 0)
+    assert J.norm.coords() == (3, 0)
+    for lat, n in [(O.lattice, 1), (two, 4), (J.lattice, 3)]:
+        assert degree_module(lat, F.integer(n)).normalizer == n
+        for wrong in (n * 2, n * 3) + ((1,) if n > 1 else ()):
+            with pytest.raises(ValueError):
+                degree_module(lat, F.integer(wrong))
 
 
 def test_neighbor_counts():
@@ -98,7 +132,7 @@ def test_neighbors_backtrack_unique():
     O = standard_order(construct(F, 11))
     P2 = primes_above(F, 2)[0]
     start = unit_ideal(O)
-    doubled = start.lattice.scale(F.element(2))
+    doubled = QuaternionLattice.from_generators(O.algebra, [[2 * c for c in r] for r in O.lattice.rows], O.lattice.den)
     for J in neighbors(start, P2):
         back = [K for K in neighbors(J, P2) if K.lattice == doubled]
         assert len(back) == 1
@@ -110,9 +144,8 @@ def test_is_isomorphic_basics():
     I = unit_ideal(O)
     assert is_isomorphic(I, I)
     # right multiplication by a lattice element of nonzero norm
-    x = O.basis()[2]
-    lat = I.lattice.right_multiply(x)
-    Jx = LeftIdeal(lat, O, ideal_norm(lat, O))
+    x = lattice_basis(O.lattice)[2]
+    Jx = LeftIdeal(_right_multiple(I.lattice, x), O, canonical_positive_associate(x.reduced_norm().to_integer()))
     assert is_isomorphic(I, Jx)
 
 
@@ -165,8 +198,8 @@ def test_level_one_order():
     F5 = field(5)
     O = level_one_order(construct(F5, 2))
     assert O.reduced_discriminant().is_unit()
-    assert standard_order(construct(F5, 2)).lattice.contains_lattice(O.lattice) is False
-    assert O.lattice.contains_lattice(standard_order(construct(F5, 2)).lattice)
+    assert _contains_lattice(standard_order(construct(F5, 2)).lattice, O.lattice) is False
+    assert _contains_lattice(O.lattice, standard_order(construct(F5, 2)).lattice)
     O3 = level_one_order(construct(F5, 3))
     assert O3.reduced_discriminant().is_unit()
     with pytest.raises(LevelOneImpossible):
@@ -183,8 +216,8 @@ def test_neighbor_graph_regular_and_closed():
     nb = neighbors(unit_ideal(O), P3)
     assert len(nb) == 4
     for J in nb:
-        assert O.lattice.contains_lattice(J.lattice)
-        assert left_order(J.lattice).lattice == O.lattice
+        assert _contains_lattice(O.lattice, J.lattice)
+        assert _left_order(J.lattice).lattice == O.lattice
         assert is_associate(J.norm, F.integer(3))
 
 
@@ -255,11 +288,11 @@ def _right_multiples(I):
     O = right_order(I.lattice)
     fld = O.algebra.field
     mod = degree_module(O.lattice, fld.one)
-    xs = [mod.element(e[:-1]) for e in short_vectors(trace_form(mod), 2 * 4 * fld.degree)]
-    xs = [x for x in xs if mod.value(x) != fld.one]
+    xs = [module_element(mod, e[:-1]) for e in short_vectors(trace_form(mod), 2 * 4 * fld.degree)]
+    xs = [x for x in xs if module_value(mod, x) != fld.one]
     for x in xs[:6]:
         norm = canonical_positive_associate(I.norm * x.reduced_norm().to_integer())
-        yield LeftIdeal(I.lattice.right_multiply(x), I.order, norm)
+        yield LeftIdeal(_right_multiple(I.lattice, x), I.order, norm)
 
 
 @pytest.mark.parametrize("d,p", [(1, 67), (5, 11)])
@@ -311,14 +344,14 @@ def test_class_search_counts_at_227():
 
 
 # ---------------------------------------------------------------------------
-# Discriminants, valuations and ideal norms against the FieldElement versions
-# they replaced: the pairing determinant and its ideal square root, the
-# valuation by FieldElement division, and the determinant-ratio norm.
+# Discriminants, valuations and ideal norms against reference arithmetic over
+# L: the pairing determinant and its ideal square root, the valuation by
+# division in L, and the determinant-ratio norm.
 
 
 def _reference_pairing_det(lat):
-    bs = lat.basis()
-    return det_generic([[(x * y).reduced_trace() for y in bs] for x in bs], lat.algebra.field.element(0))
+    bs = lattice_basis(lat)
+    return det_generic([[(x * y).reduced_trace() for y in bs] for x in bs], fe(lat.algebra.field, 0))
 
 
 def _reference_ideal_sqrt(det):
@@ -347,11 +380,11 @@ def _reference_discriminant(order):
 
 def _reference_valuation(P, x):
     v = 0
-    y = x.to_element()
+    y = fe_of(x)
     while True:
         if not y.is_integral() or P.reduce_coords(y.to_integer()) != (0, 0):
             return v
-        y = y / P.generator.to_element()
+        y = y / fe_of(P.generator)
         if y.is_integral():
             v += 1
         else:
@@ -359,12 +392,21 @@ def _reference_valuation(P, x):
 
 
 def _reference_ideal_norm(lat, order):
+    """The gcd of Nrd(b_r) and Trd(b_r conj(b_s)), r < s, over the basis, whose
+    absolute norm must be the t with t^4 = |N(d(lat)^2 / d(order)^2)|."""
     ratio = _reference_pairing_det(lat) / _reference_pairing_det(order.lattice)
     n = ratio.norm() if lat.algebra.field.degree == 2 else ratio.coords()[0]
     assert n.denominator == 1
     t = isqrt(isqrt(abs(n.numerator)))
     assert t ** 4 == abs(n.numerator)
-    return norm_gcd(lat, t)
+    bs = lattice_basis(lat)
+    g = lat.algebra.field.zero
+    for r, x in enumerate(bs):
+        g = field_gcd(g, x.reduced_norm().to_integer())
+        for y in bs[r + 1 :]:
+            g = field_gcd(g, (x * y.conjugate()).reduced_trace().to_integer())
+    assert abs(g.norm()) == t
+    return g
 
 
 def _check_order_against_reference(O):
@@ -381,8 +423,8 @@ def _check_classes_against_reference(O):
     for I in ideal_classes(O).ideals:
         O_r = right_order(I.lattice)
         _check_order_against_reference(O_r)
-        assert ideal_norm(I.lattice, O) == _reference_ideal_norm(I.lattice, O) == I.norm
-        assert ideal_norm(I.lattice) == _reference_ideal_norm(I.lattice, O_r) == I.norm
+        assert _reference_ideal_norm(I.lattice, O) == _reference_ideal_norm(I.lattice, O_r) == I.norm
+        assert degree_module(I.lattice, I.norm).normalizer == I.norm  # the program's certificate
 
 
 def test_discriminants_and_norms_match_reference_over_q():

@@ -1,6 +1,7 @@
 """Hom modules: integrality, primitivity, definiteness, levels, multiplicativity."""
 
 import random
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from quatheta.errors import LevelMismatch
 from quatheta.fields import field, field_gcd, is_associate
 from quatheta.orders import ideal_classes, level_one_order, standard_order, unit_weight
-from quatheta.quadmod import degree_module, gram_and_level, hom_module, hom_modules, lattice_norm
+from quatheta.quadmod import degree_module, gram_and_level, hom_module, hom_modules
 from quatheta.quaternions import construct
 from quatheta.theta import theta
 
-from oracles import gram_level_by_inverse
+from oracles import fe, fe_of, gram_level_by_inverse, integer_rows, lattice_basis, module_element, module_value
 
 
 def _classes(d, p, mode="level_p"):
@@ -28,7 +29,8 @@ def test_diagonal_module_is_order_form():
     cs = _classes(1, 11)
     m = hom_module(cs.ideals[0], cs.ideals[0], 0, 0)
     assert m.normalizer.coords() == (1, 0)
-    assert m.value(m.lattice.basis()[0]) == m.lattice.basis()[0].reduced_norm()
+    b = lattice_basis(m.lattice)[0]
+    assert module_value(m, b) == b.reduced_norm()
 
 
 def test_gram_determinant_and_level_eleven():
@@ -67,10 +69,18 @@ def test_gram_and_level_matches_inverse_reference_on_hom_modules(d, p):
             assert gram_and_level(m, F.integer(p)) == gram_level_by_inverse(F, m.gram)
 
 
+def _determinant_norm(K, order_disc):
+    """t = |N(n)| for the norm n of K, from d(K) = n^2 d(O) as ideals."""
+    t2, r = divmod(abs(K.discriminant().norm()), abs(order_disc.norm()))
+    t = isqrt(t2)
+    assert r == 0 and t * t == t2
+    return t
+
+
 @pytest.mark.parametrize("d,p", [(1, 67), (5, 11), (2, 7)])
 def test_hom_normalizer_is_the_certified_lattice_norm(d, p):
-    """The normalizer nrd(I_i) nrd(I_j) equals the norm certified by the
-    discriminant of conj(I_j) I_i, built here through the conjugate lattice;
+    """The normalizer nrd(I_i) nrd(I_j) of conj(I_j) I_i, built here through
+    the conjugate lattice, has the absolute norm its discriminant certifies;
     twice it fails the integrality and unit-content check."""
     cs = _classes(d, p)
     disc = cs.order.reduced_discriminant()
@@ -79,7 +89,7 @@ def test_hom_normalizer_is_the_certified_lattice_norm(d, p):
             m = hom_module(I, J, i, j)
             K = J.lattice.conjugate().multiply(I.lattice)
             assert m.lattice == K
-            assert m.normalizer == lattice_norm(K, disc)
+            assert abs(m.normalizer.norm()) == _determinant_norm(K, disc)
             with pytest.raises(ValueError):
                 degree_module(K, 2 * m.normalizer)
 
@@ -116,20 +126,24 @@ def test_bilinear_identities():
     rng = random.Random(21)
     cs = _classes(1, 11)
     m = hom_module(cs.ideals[0], cs.ideals[1], 0, 1)
-    bs = m.lattice.basis()
     F = field(1)
+
+    def bilinear(u, v):  # B(u, v) = sum u_r v_s gram[r][s] on Z-coordinates
+        return sum((u[r] * v[s] * m.gram[r][s] for r in range(4) for s in range(4)), F.zero)
+
     for _ in range(40):
         c1 = [rng.randrange(-3, 4) for _ in range(4)]
         c2 = [rng.randrange(-3, 4) for _ in range(4)]
-        x = sum((b.scale(F.element(c)) for c, b in zip(c1, bs[1:])), bs[0].scale(F.element(c1[0])))
-        y = sum((b.scale(F.element(c)) for c, b in zip(c2, bs[1:])), bs[0].scale(F.element(c2[0])))
-        assert m.bilinear(x, y) == m.bilinear(y, x)
-        assert m.value(x + y) - m.value(x) - m.value(y) == m.bilinear(x, y)
-        assert m.bilinear(x, x) == 2 * m.value(x)
-        ell = F.integer(rng.randrange(1, 4))
-        assert m.value(x.scale(ell.to_element())) == ell * ell * m.value(x)
-        if not x.is_zero():
-            assert m.value(x).is_totally_positive()
+        x, y = module_element(m, c1), module_element(m, c2)
+        # the Gram is Trd(x conj(y)) / n, with Q(x) = Nrd(x) / n
+        assert bilinear(c1, c2) == bilinear(c2, c1)
+        assert bilinear(c1, c2) == ((x * y.conjugate()).reduced_trace() / fe_of(m.normalizer)).to_integer()
+        assert module_value(m, x + y) - module_value(m, x) - module_value(m, y) == bilinear(c1, c2)
+        assert bilinear(c1, c1) == 2 * module_value(m, x)
+        ell = rng.randrange(1, 4)
+        assert module_value(m, module_element(m, [ell * c for c in c1])) == ell * ell * module_value(m, x)
+        if any(c1):
+            assert module_value(m, x).is_totally_positive()
 
 
 def test_degree_multiplicative_up_to_unit():
@@ -140,13 +154,14 @@ def test_degree_multiplicative_up_to_unit():
     m00 = hom_module(cs.ideals[0], cs.ideals[0], 0, 0)
     n1 = cs.ideals[1].norm
     F = field(1)
-    x = m01.lattice.basis()[0]
-    y = m10.lattice.basis()[1]
-    z = (y * x).scale(F.element(1, 0, n1.a))
-    assert m00.lattice.contains(z)
-    lhs = m00.value(z)
-    rhs = m10.value(y) * m01.value(x)
-    unit = lhs.to_element() / rhs.to_element()
+    x = lattice_basis(m01.lattice)[0]
+    y = lattice_basis(m10.lattice)[1]
+    z = (y * x).scale(fe(F, 1, 0, n1.a))
+    (row,), den = integer_rows(1, [z])
+    m00.lattice.coordinates(row, den)  # raises unless z is in M_00
+    lhs = module_value(m00, z)
+    rhs = module_value(m10, y) * module_value(m01, x)
+    unit = fe_of(lhs) / fe_of(rhs)
     assert unit.is_integral() and unit.to_integer().is_unit()
 
 
@@ -156,7 +171,7 @@ def test_norm_ideal_identity():
     m = hom_module(cs.ideals[0], cs.ideals[1], 0, 1)
     F = field(1)
     n = m.normalizer
-    bs = m.lattice.basis()
+    bs = lattice_basis(m.lattice)
     for psi in bs[:2]:
         g = F.zero
         for x in bs:
@@ -164,7 +179,7 @@ def test_norm_ideal_identity():
         for x in bs:
             for y in bs:
                 g = field_gcd(g, (psi.conjugate() * (x + y)).reduced_norm().to_integer())
-        assert is_associate(g, m.value(psi) * n * n)
+        assert is_associate(g, module_value(m, psi) * n * n)
 
 
 def test_unit_rescaling_permutes_representations():
@@ -183,15 +198,13 @@ def test_unit_rescaling_permutes_representations():
     from quatheta.quadmod import trace_form
 
     for entry in short_vectors(trace_form(m), 2 * 8):
-        x = m.element(entry[:-1])
-        nu = m.value(x)
+        nu = module_value(m, module_element(m, entry[:-1]))
         key = canonical_positive_associate(nu).coords()
         rescaled[key] = rescaled.get(key, 0) + 2
     # bucket the u*n-normalized values by canonical orbit representative too
     other = {}
     for entry in short_vectors(trace_form(m), 2 * 8):
-        x = m.element(entry[:-1])
-        nu_scaled = m.value(x) * eps2  # = Nrd(x) / (eps^-2 n)
+        nu_scaled = module_value(m, module_element(m, entry[:-1])) * eps2  # = Nrd(x) / (eps^-2 n)
         key = canonical_positive_associate(nu_scaled).coords()
         other[key] = other.get(key, 0) + 2
     assert rescaled == other

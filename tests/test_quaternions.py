@@ -1,4 +1,4 @@
-"""Quaternion algebra arithmetic and the ramification certificate."""
+"""Quaternion algebra arithmetic on integer rows and the ramification certificate."""
 
 import random
 
@@ -6,6 +6,7 @@ import pytest
 
 from quatheta.errors import CompositeP, RamifiedPrime
 from quatheta.fields import field, is_prime, primes_above
+from quatheta.lattices import _bilinear, _conjugate_row, _structure
 from quatheta.quaternions import (
     construct,
     hilbert_symbol,
@@ -16,11 +17,29 @@ from quatheta.quaternions import (
 from oracles import hilbert_symbol_ring_scan
 
 
-def _random_element(rng, alg):
+def _random_row(rng, alg):
+    return [rng.randrange(-6, 7) for _ in range(4 * alg.field.degree)]
+
+
+def _mul(alg, x, y):
+    return _bilinear(_structure(alg)[0], x, y, len(x))
+
+
+def _nrd(alg, x):
+    """Nrd(x) = Trd(x conj(x)) / 2 for the element with integer row x."""
     F = alg.field
-    def fe():
-        return F.element(rng.randrange(-6, 7), rng.randrange(-6, 7) if F.degree == 2 else 0, rng.choice((1, 2)))
-    return alg.element(fe(), fe(), fe(), fe())
+    trd = _bilinear(_structure(alg)[1], x, x, F.degree)
+    assert all(c % 2 == 0 for c in trd)
+    return F.integer(*(c // 2 for c in trd))
+
+
+def _trd(alg, x):
+    """Trd(x) = 2t for the element with integer row x."""
+    return alg.field.integer(*(2 * c for c in x[: alg.field.degree]))
+
+
+def _one(alg):
+    return [1] + [0] * (4 * alg.field.degree - 1)
 
 
 def test_presentation_table():
@@ -47,26 +66,28 @@ def test_construct_rejects_ramified_p():
 
 def test_reduced_norm_trace_examples():
     alg = construct(field(1), 2)
-    x = alg.element(1, 1, 1, 1)
-    assert x.reduced_norm() == 4
-    assert alg.one.reduced_norm() == 1
-    assert alg.one.reduced_trace() == 2
+    assert _nrd(alg, [1, 1, 1, 1]) == 4
+    assert _nrd(alg, _one(alg)) == 1
+    assert _trd(alg, _one(alg)) == 2
     alg11 = construct(field(1), 11)
-    j = alg11.element(0, 0, 1, 0)
-    assert j.reduced_norm() == 11
+    assert _nrd(alg11, [0, 0, 1, 0]) == 11  # j
+    alg5 = construct(field(5), 11)
+    assert _mul(alg5, [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0]) == [0, 0, 0, 0, 0, 0, 1, 0]  # ij = k
+    assert _mul(alg5, [0, 1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]) == [1, 1, 0, 0, 0, 0, 0, 0]  # omega^2 = 1 + omega
 
 
 def test_norm_multiplicative_conj_antihomomorphism():
     rng = random.Random(5)
     for d, p in [(1, 11), (5, 2), (5, 11)]:
         alg = construct(field(d), p)
+        g = alg.field.degree
         for _ in range(40):
-            x, y = _random_element(rng, alg), _random_element(rng, alg)
-            assert (x * y).reduced_norm() == x.reduced_norm() * y.reduced_norm()
-            assert ((x * y).conjugate() - y.conjugate() * x.conjugate()).is_zero()
+            x, y = _random_row(rng, alg), _random_row(rng, alg)
+            assert _nrd(alg, _mul(alg, x, y)) == _nrd(alg, x) * _nrd(alg, y)
+            assert _conjugate_row(g, _mul(alg, x, y)) == tuple(_mul(alg, _conjugate_row(g, y), _conjugate_row(g, x)))
             # Trd(x) = Nrd(x+1) - Nrd(x) - 1
-            one = alg.one
-            assert x.reduced_trace() == (x + one).reduced_norm() - x.reduced_norm() - 1
+            x1 = [a + b for a, b in zip(x, _one(alg))]
+            assert _trd(alg, x) == _nrd(alg, x1) - _nrd(alg, x) - 1
 
 
 def test_definiteness():
@@ -74,10 +95,10 @@ def test_definiteness():
     for d, p in [(1, 11), (5, 2)]:
         alg = construct(field(d), p)
         for _ in range(60):
-            x = _random_element(rng, alg)
-            if x.is_zero():
+            x = _random_row(rng, alg)
+            if not any(x):
                 continue
-            assert x.reduced_norm().is_totally_positive()
+            assert _nrd(alg, x).is_totally_positive()
 
 
 def test_ramification_sets():

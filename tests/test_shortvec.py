@@ -19,6 +19,8 @@ from quatheta.quadmod import hom_modules, norm_counts, trace_form
 from quatheta.quaternions import construct
 from quatheta.shortvec import lll_reduce, short_vectors
 
+from oracles import module_element, module_value
+
 
 def _norm(gram, x):
     n = len(x)
@@ -138,7 +140,7 @@ def sqrt5_modules():
 def _quaternion_counts(mod, trace_bound):
     """The value counts of `norm_counts`, from the unreduced search and quaternion arithmetic."""
     vecs = [e[:-1] for e in short_vectors(trace_form(mod), 2 * trace_bound)]
-    return Counter(mod.value(mod.element(v)).coords() for v in vecs), len(vecs)
+    return Counter(module_value(mod, module_element(mod, v)).coords() for v in vecs), len(vecs)
 
 
 def test_integer_form_values_match_quaternion_norms(sqrt5_modules):

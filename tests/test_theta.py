@@ -11,7 +11,7 @@ from quatheta.quadmod import gram_and_level, hom_module, hom_modules, trace_form
 from quatheta.quaternions import construct
 from quatheta.theta import theta, theta_difference, theta_matrix
 
-from oracles import det_generic, eta_product_coefficients, theta_box_scan
+from oracles import det_generic, eta_product_coefficients, fe_of, theta_box_scan, z_basis
 
 
 def _classes(d, p, mode="level_p"):
@@ -135,8 +135,8 @@ def test_trace_form_matches_direct_expansion():
     cs = _classes(5, 11)
     m = hom_module(cs.ideals[0], cs.ideals[1], 0, 1)
     T = trace_form(m)
-    zb = m.lattice.z_basis()
-    ne = m.normalizer.to_element()
+    zb = z_basis(m.lattice)
+    ne = fe_of(m.normalizer)
     for r in range(8):
         for s in range(8):
             v = ((zb[r] * zb[s].conjugate()).reduced_trace() / ne).to_integer()
