@@ -231,9 +231,11 @@ class QuaternionLattice:
                 q, r = divmod(w[i], h[i])
                 if r:
                     raise ValueError("element is not in the lattice: coordinates are not integral")
-                k = fld.integer(q)
-            else:
-                k = exact_div(fld.integer(w[2 * i], w[2 * i + 1]), fld.integer(h[2 * i], h[2 * i + 1]))
+                if q:
+                    w = [a - q * b for a, b in zip(w, h)]
+                out.append(fld.integer(q))
+                continue
+            k = exact_div(fld.integer(w[2 * i], w[2 * i + 1]), fld.integer(h[2 * i], h[2 * i + 1]))
             out.append(k)
             if not k.is_zero():
                 w = [a - b for a, b in zip(w, _scale_row(fld, h, k))]
@@ -252,26 +254,47 @@ class QuaternionLattice:
 
     def multiply(self, other: QuaternionLattice) -> QuaternionLattice:
         """The lattice spanned by the 16 products of basis rows."""
-        return self._product(self.rows, other)
+        return QuaternionLattice.from_generators(self.algebra, self._products(self.rows, other.rows), self.den * other.den)
 
-    def conjugate_multiply(self, other: QuaternionLattice) -> QuaternionLattice:
-        """conj(L) * M, from the conjugated basis rows of L without forming conj(L)'s HNF."""
-        g = self.algebra.field.degree
-        return self._product([_conjugate_row(g, r) for r in self.rows], other)
+    def conjugate_multiply(self, other: QuaternionLattice, divisor: AlgebraicInteger | None = None) -> QuaternionLattice:
+        """conj(L) * M, or conj(L) * M / divisor for a nonzero divisor in O_L,
+        from the conjugated basis rows of L without forming conj(L)'s HNF.
 
-    def _product(self, rows, other: QuaternionLattice) -> QuaternionLattice:
-        """The lattice spanned by the products of `rows` (over this lattice's den) with other's basis."""
+        Dividing by n is multiplying by sigma(n) / N(n), sigma the Galois
+        conjugate (1 over Q), so the product still takes one HNF.
+        """
+        fld = self.algebra.field
+        rows = [_conjugate_row(fld.degree, r) for r in self.rows]
+        den = self.den * other.den
+        if divisor is not None:
+            if fld.degree == 2:
+                rows = [_scale_row(fld, r, divisor.conjugate()) for r in rows]
+            den *= divisor.norm() if fld.degree == 2 else divisor.a
+        return QuaternionLattice.from_generators(self.algebra, self._products(rows, other.rows), den)
+
+    def multiply_elements(self, k: AlgebraicInteger, rows, den: int) -> QuaternionLattice:
+        """k*L + L*x_1 + ... + L*x_m for k in O_L and the elements x_r = rows[r]/den.
+
+        When O is the right order of L this is L * (k*O + O_L x_1 + ...), the
+        product of L with a lattice between kO and O, from 4 + 4m generators.
+        """
+        fld = self.algebra.field
+        gens = [_scale_row(fld, r, k * den) for r in self.rows] + self._products(self.rows, rows)
+        return QuaternionLattice.from_generators(self.algebra, gens, self.den * den)
+
+    def _products(self, rows, others) -> list[list[int]]:
+        """The integer rows of x * y for x in `rows` and y in `others`."""
         mul = _structure(self.algebra)[0]
         size = 4 * self.algebra.field.degree
-        prods = [_bilinear(mul, r, s, size) for r in rows for s in other.rows]
-        return QuaternionLattice.from_generators(self.algebra, prods, self.den * other.den)
+        return [_bilinear(mul, r, s, size) for r in rows for s in others]
 
-    def product_coordinates(self) -> list[list[tuple[AlgebraicInteger, ...]]]:
-        """Coordinates of b_m * b_n in this basis; raises ValueError unless L*L <= L."""
-        mul = _structure(self.algebra)[0]
-        size = 4 * self.algebra.field.degree
-        sq = self.den * self.den
-        return [[tuple(self.coordinates(_bilinear(mul, r, s, size), sq)) for s in self.rows] for r in self.rows]
+    def product_coordinates(self, other: QuaternionLattice | None = None) -> list[list[tuple[AlgebraicInteger, ...]]]:
+        """Coordinates in this basis of b_m * c_n, for b this basis and c the basis
+        of other (default: this lattice); raises ValueError unless L*M <= L."""
+        other = self if other is None else other
+        den = self.den * other.den
+        prods = self._products(self.rows, other.rows)
+        return [[tuple(self.coordinates(prods[4 * m + n], den)) for n in range(4)] for m in range(4)]
 
     def conjugate(self) -> QuaternionLattice:
         """conj(L): the basis rows with their i, j and k columns negated."""
@@ -299,12 +322,15 @@ class QuaternionLattice:
         For b = (t, x, y, z) and b' = (t', x', y', z'), Trd(b conj(b')) =
         2(t t' - a x x' - b y y' + ab z z'), so every entry is even.
         """
-        if self._gram is None:
+        if self._gram is None:  # symmetric: the upper triangle, mirrored
             trd = _structure(self.algebra)[1]
             g = self.algebra.field.degree
-            self._gram = tuple(
-                tuple(tuple(_bilinear(trd, r, s, g)) for s in self.rows) for r in self.rows
-            )
+            rows = self.rows
+            gram = [[None] * 4 for _ in range(4)]
+            for r in range(4):
+                for s in range(r, 4):
+                    gram[r][s] = gram[s][r] = tuple(_bilinear(trd, rows[r], rows[s], g))
+            self._gram = tuple(map(tuple, gram))
         return self._gram
 
     def discriminant(self) -> AlgebraicInteger:

@@ -5,8 +5,9 @@ prime, ideal-class enumeration with a mass-formula termination certificate,
 and unit-group weights.
 
 An order is certified closed by its structure constants, which are kept;
-ideal classes are bucketed by the theta prefix of each ideal's own
-normalized form, so a candidate costs no lattice product before its
+the right order of an ideal is conj(I) I / nrd(I), certified by 1 in R and
+I R <= I; ideal classes are bucketed by the theta prefix of each ideal's
+own normalized form, so a candidate costs no lattice product before its
 isomorphism tests."""
 
 from __future__ import annotations
@@ -96,8 +97,22 @@ def unit_ideal(order: Order) -> LeftIdeal:
     return LeftIdeal(order.lattice, order, order.algebra.field.one)
 
 
-def right_order(lat: QuaternionLattice) -> Order:
-    return Order(lat.multiplier_lattice("right"))
+def right_order(ideal: LeftIdeal) -> Order:
+    """O_R(I) = conj(I) I / nrd(I), certified exactly.
+
+    For a locally principal I, conj(I) I = nrd(I) O_R(I) (Voight, GTM 288,
+    §16).  The certificate needs no such assumption: if R = conj(I) I /
+    nrd(I) contains 1 and I R <= I, then R <= O_R(I); and every x in O_R(I)
+    has R x <= R, so x = 1 x lies in R.  Raises NotAnOrder when either
+    check fails, and when R is not closed under multiplication.
+    """
+    lat = ideal.lattice
+    order = Order(lat.conjugate_multiply(lat, ideal.norm))
+    try:
+        lat.product_coordinates(order.lattice)
+    except ValueError:
+        raise NotAnOrder("I * conj(I) I / nrd(I) is not inside I: not the right order") from None
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +362,8 @@ def _splitting_data(order: Order, prime: PrimeIdeal):
 def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> list[LeftIdeal]:
     """The Nq+1 left subideals of q-times-larger norm, indexed by lines of the residue plane.
 
+    The line's annihilator lifts to l_1, l_2 in O = O_R(I), and the
+    neighbor is I (qO + O l_1 + O l_2) = qI + I l_1 + I l_2, since I O = I.
     `o_r` is the right order of the ideal, built here when not given.
     """
     alg = ideal.order.algebra
@@ -356,10 +373,12 @@ def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> 
     if fld.discriminant % prime.residue_char == 0:
         raise BadPrime(f"{prime!r} ramifies in the base field")
     if o_r is None:
-        o_r = right_order(ideal.lattice)
+        o_r = right_order(ideal)
     A, V = _splitting_data(o_r, prime)
     F = A.F
+    R = o_r.lattice
     lines = [(F.one, F.zero)] + [(c, F.one) for c in F.elements()]
+    norm = canonical_positive_associate(prime.generator * ideal.norm)
     out = []
     for (u, v) in lines:
         # the left annihilator {x : x w = 0} of w = u V[0] + v V[1], from the columns b_m w
@@ -367,8 +386,8 @@ def neighbors(ideal: LeftIdeal, prime: PrimeIdeal, o_r: Order | None = None) -> 
         null = residue_nullspace(F, [list(r) for r in zip(*(A.mul(b, w) for b in A.basis))])
         if len(null) != 2:
             raise ArithmeticError("line kernel has wrong dimension")
-        J = ideal.lattice.multiply(A.preimage(null))
-        norm = canonical_positive_associate(prime.generator * ideal.norm)
+        lifts = [R.combine([fld.integer(*c) for c in x]) for x in null]
+        J = ideal.lattice.multiply_elements(prime.generator, lifts, R.den)
         out.append(LeftIdeal(J, ideal.order, norm))
     return out
 
@@ -463,7 +482,7 @@ def ideal_classes(order: Order, aux_prime: PrimeIdeal | None = None) -> ClassSet
             else:  # no representative of the bucket is isomorphic to J
                 bucket.append(J)
                 reps.append(J)
-                o_j = right_order(J.lattice)
+                o_j = right_order(J)
                 w = unit_weight(o_j)
                 weights.append(w)
                 mass += Fraction(1, w)

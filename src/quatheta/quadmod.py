@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import LevelMismatch
 from .fields import (
@@ -145,18 +144,17 @@ def norm_counts(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP) 
 
     The search runs on the LLL-reduced trace form R = U T U^T, which
     evaluates Tr(2Q), so its budget is 2*trace_bound and each entry ends
-    with Tr(2Q) of its element.  Over Q that is 2Q.  Over Q(sqrt d) the
-    search also carries the form U W U^T of Tr(2 omega Q) on the same
-    coordinates, so each entry ends with (Tr 2Q, Tr 2 omega Q); Tr(Q) and
-    Tr(omega Q) determine a and b through a 2x2 integer system.
+    with Tr(2Q) of its element.  Over Q that is 2Q.  Over Q(sqrt d)
+    `lll_reduce` takes the form W of Tr(2 omega Q) through the same
+    operations, and the search carries U W U^T on the same coordinates, so
+    each entry ends with (Tr 2Q, Tr 2 omega Q); Tr(Q) and Tr(omega Q)
+    determine a and b through a 2x2 integer system.
     """
     fld = mod.field
-    R, U = lll_reduce(trace_form(mod))
     if fld.degree == 1:
+        R, _ = lll_reduce(trace_form(mod))
         return Counter((entry[-1] >> 1, 0) for entry in short_vectors(R, 2 * trace_bound, cap=cap))
-    W = trace_form(mod, fld.omega)
-    UW = [[sum(map(mul, row, col)) for col in zip(*W)] for row in U]
-    RW = [[sum(map(mul, row, u)) for u in U] for row in UW]  # U W U^T
+    R, RW = lll_reduce(trace_form(mod), trace_form(mod, fld.omega))
     found = short_vectors(R, 2 * trace_bound, cap=cap, second=RW)
     t, n = fld.omega_trace, fld.omega_norm
     disc = t * t - 4 * n

@@ -20,12 +20,16 @@ nonzero coordinate is positive.
 The search visits every node whose partial sum fits the budget, so its cost
 follows how skewed the basis is.  `lll_reduce` first brings the Gram to an
 LLL-reduced one (Cohen, A Course in Computational Algebraic Number Theory,
-Alg. 2.6.7, on the Gram matrix), with the same integers-only contract.
+Alg. 2.6.7, on the Gram matrix), with the same integers-only contract; it
+keeps no transform, and carries a second form through the same row and
+column operations instead.  A ball whose lattice-point count provably
+exceeds the cap (a volume bound from the determinant) is refused before
+the search builds anything.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm, prod
 
 from .errors import BoundTooLarge
 
@@ -35,18 +39,23 @@ DEFAULT_CAP = 5_000_000
 _DELTA_NUM, _DELTA_DEN = 99, 100
 
 
-def lll_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """(R, U) with U unimodular, R = U G U^T LLL-reduced (delta = 99/100).
+def lll_reduce(
+    gram: list[list[int]], second: list[list[int]] | None = None
+) -> tuple[list[list[int]], list[list[int]] | None]:
+    """(R, R2): R = U G U^T LLL-reduced (delta = 99/100) for some unimodular
+    U, and R2 = U W U^T for the optional second form W (None without one).
 
-    Row k of U holds the coordinates of the k-th reduced basis vector in the
-    input basis.  The Gram-Schmidt data are kept as the integers
-    d[i] = det of the leading i x i block and lam[k][j] = d[j+1] mu_kj, so
-    every division below is exact.  Raises ValueError when the form is not
+    U itself is not kept: every row and column operation on G is applied to
+    W as well.  The Gram-Schmidt data are kept as the integers d[i] = det
+    of the leading i x i block and lam[k][j] = d[j+1] mu_kj, so every
+    division below is exact.  Raises ValueError when the form is not
     positive definite.
     """
     n = len(gram)
-    G = [list(row) for row in gram]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    forms = [[list(row) for row in gram]]
+    if second is not None:
+        forms.append([list(row) for row in second])
+    G = forms[0]
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
 
@@ -56,20 +65,20 @@ def lll_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]
         if 2 * abs(lam[k][l]) <= dl:
             return
         q = (2 * lam[k][l] + dl) // (2 * dl)  # nearest integer to mu_kl
-        U[k] = [a - q * b for a, b in zip(U[k], U[l])]
-        G[k] = [a - q * b for a, b in zip(G[k], G[l])]
-        for row in G:
-            row[k] -= q * row[l]
+        for F in forms:
+            F[k] = [a - q * b for a, b in zip(F[k], F[l])]
+            for row in F:
+                row[k] -= q * row[l]
         lam[k][l] -= q * dl
         for i in range(l):
             lam[k][i] -= q * lam[l][i]
 
     def swap(k: int, kmax: int) -> None:
         """Exchange b_{k-1} and b_k and update the Gram-Schmidt data (Cohen's SWAPI)."""
-        U[k - 1], U[k] = U[k], U[k - 1]
-        G[k - 1], G[k] = G[k], G[k - 1]
-        for row in G:
-            row[k - 1], row[k] = row[k], row[k - 1]
+        for F in forms:
+            F[k - 1], F[k] = F[k], F[k - 1]
+            for row in F:
+                row[k - 1], row[k] = row[k], row[k - 1]
         for j in range(k - 1):
             lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
         mu = lam[k][k - 1]
@@ -107,7 +116,7 @@ def lll_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return G, U
+    return G, (forms[1] if second is not None else None)
 
 
 def _ldl_fraction_free(gram: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -144,17 +153,46 @@ def short_vectors(
     pair, so the garbage collector stops tracking it at its first pass.
     Coordinates are chosen from the last to the first, each in increasing
     order, so the output is ordered by the reversed coordinate tuple.
+    Raises BoundTooLarge past `cap` entries, and before the search when a
+    volume bound shows that the ball holds more.
     """
     n = len(gram)
     minors, m = _ldl_fraction_free(gram)
     if budget < 0:
         return []
+    if _surely_exceeds(gram, minors[n], budget, 2 * cap + 1):
+        raise BoundTooLarge(f"enumeration would exceed cap of {cap} vectors")
     scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
     weights = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     out: list[tuple[int, ...]] = []
     form = (m, minors, weights, scale, scale * budget, cap, second)
     _search(n - 1, scale * budget, 0, [0] * n, form, out)
     return out
+
+
+def _surely_exceeds(gram: list[list[int]], det: int, budget: int, count: int) -> bool:
+    """Whether the ball x^T G x <= budget surely holds more than `count` lattice points.
+
+    With mu the covering radius, the cells of the points in the ball of
+    radius r = sqrt(budget) cover the ball of radius r - mu, so there are at
+    least vol(B(r - mu)) / sqrt(det) of them; Babai's nearest plane gives mu
+    <= sqrt(sum |b_i*|^2) / 2 <= sqrt(trace G) / 2.  Checked on squares in
+    integers, with r rounded down, sqrt(trace G) up and pi replaced by
+    333/106 < pi: vol(B(rho))^2 = pi^n rho^(2n) / Gamma(n/2 + 1)^2.
+    """
+    n = len(gram)
+    trace = sum(gram[i][i] for i in range(n))
+    s = isqrt(trace)
+    s += s * s < trace  # ceil(sqrt(trace G))
+    a = 2 * isqrt(budget) - s  # rho >= a / 2
+    if a <= 0:
+        return False
+    m = n // 2
+    if n % 2:  # Gamma(m + 3/2)^2 = ((2m+1)!!)^2 pi / 4^(m+1)
+        gamma_num, gamma_den = prod(range(1, n + 1, 2)) ** 2, 4 ** (m + 1)
+    else:
+        gamma_num, gamma_den = factorial(m) ** 2, 1
+    return 333 ** (2 * m) * a ** (2 * n) * gamma_den > count * count * det * 106 ** (2 * m) * 4**n * gamma_num
 
 
 def _search(level, rest, acc, x, form, out) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -266,6 +267,17 @@ def test_module_entry_point():
     proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stderr) == (0, "")
     assert report_body(json.loads(proc.stdout)) == json.loads((GOLDEN / "q11_b12.json").read_text())
+
+
+def test_huge_bound_fails_before_the_search_allocates():
+    # the lattice-point bound refuses the 2 x 10^5 ball before any entry is built
+    cmd = [sys.executable, "-m", "quatheta", "--field", "1", "--prime", "11", "--bound", "100000"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"] == "BoundTooLarge"
 
 
 def test_import_leaves_sympy_unloaded():

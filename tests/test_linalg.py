@@ -1,6 +1,7 @@
-"""Integer kernel and rank read off the one integer HNF, against the
-elimination routines they replaced: a row-tracked HNF for the kernel and
-Fraction Gauss elimination for rank and pivots."""
+"""The integer HNF against a column-sweep HNF, and the kernel and rank read
+off the one integer echelon form against the elimination routines they
+replaced: a row-tracked HNF for the kernel and Fraction Gauss elimination
+for rank and pivots."""
 
 from fractions import Fraction
 
@@ -8,6 +9,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatheta.linalg import hnf_int, kernel_int, rank_and_pivots_int
+
+
+def _reference_hnf(rows):
+    """Row HNF by column sweeps: reduce every row with a nonzero entry in the
+    column by the one of least absolute value there, until one is left."""
+    rest = [list(r) for r in rows if any(r)]
+    out = []
+    for col in range(len(rest[0]) if rest else 0):
+        active = [r for r in rest if r[col]]
+        rest = [r for r in rest if not r[col]]
+        while len(active) > 1:
+            p = min(active, key=lambda r: abs(r[col]))
+            nxt = [p]
+            for r in active:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r = [a - q * b for a, b in zip(r, p)]
+                    if r[col]:
+                        nxt.append(r)
+                    elif any(r):
+                        rest.append(r)
+            active = nxt
+        if not active:
+            continue
+        p = active[0] if active[0][col] > 0 else [-a for a in active[0]]
+        for i, r in enumerate(out):
+            q = r[col] // p[col]
+            if q:
+                out[i] = [a - q * b for a, b in zip(r, p)]
+        out.append(p)
+    return out
 
 
 def _reference_kernel(rows):
@@ -72,6 +104,35 @@ def integer_matrices(draw):
         zero_col = draw(st.integers(0, ncols - 1))
         rows = [r[:zero_col] + [0] + r[zero_col + 1 :] for r in rows]
     return draw(st.permutations(rows))
+
+
+@st.composite
+def tall_matrices(draw):
+    """16 x 4 and 32 x 8 integer matrices with entries up to 2^40: drawn rows
+    (full rank), or rank deficient with the later rows combinations of a few."""
+    nrows, ncols = draw(st.sampled_from([(16, 4), (32, 8)]))
+    row = st.lists(st.integers(-(2**40), 2**40), min_size=ncols, max_size=ncols)
+    if draw(st.booleans()):
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+    base = draw(st.lists(row, max_size=ncols - 1))
+    coeffs = st.lists(st.integers(-5, 5), min_size=len(base), max_size=len(base))
+    rows = list(base)
+    for _ in range(nrows - len(base)):
+        cs = draw(coeffs)
+        rows.append([sum(c * r[k] for c, r in zip(cs, base)) for k in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_matrices(), tall_matrices()))
+def test_hnf_int_matches_column_sweep(rows):
+    h = hnf_int(rows)
+    assert h == _reference_hnf(rows)
+    for i, r in enumerate(h):  # positive pivots, reduced above, zero below
+        c = next(k for k, a in enumerate(r) if a)
+        assert r[c] > 0
+        assert all(0 <= h[j][c] < r[c] for j in range(i))
+        assert all(not h[j][c] for j in range(i + 1, len(h)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,7 @@
 
 from collections import deque
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -17,10 +17,12 @@ from quatheta.fields import (
     primes_above,
 )
 from quatheta.lattices import QuaternionLattice
+from quatheta.linalg import residue_nullspace
 from quatheta.orders import (
     LeftIdeal,
     Order,
     _class_key,
+    _splitting_data,
     default_aux_prime,
     ideal_classes,
     is_isomorphic,
@@ -98,7 +100,74 @@ def test_left_right_order_examples():
     assert _left_order(O.lattice).lattice == O.lattice
     # conjugation by an invertible element preserves the discriminant
     J = neighbors(unit_ideal(O), primes_above(F, 2)[0])[0]
-    assert is_associate(right_order(J.lattice).reduced_discriminant(), F.integer(11))
+    assert is_associate(right_order(J).reduced_discriminant(), F.integer(11))
+
+
+@pytest.mark.parametrize(
+    "d,p,level_one",
+    [(1, 11, False), (1, 37, False), (1, 227, False), (5, 11, False), (5, 19, False), (2, 7, False),
+     (13, 3, False), (17, 5, False), (5, 2, True)],
+)
+def test_right_order_equals_multiplier_lattice(d, p, level_one):
+    alg = construct(field(d), p)
+    O = level_one_order(alg) if level_one else standard_order(alg)
+    for I in ideal_classes(O).ideals:
+        assert right_order(I).lattice == I.lattice.multiplier_lattice("right")
+
+
+def test_right_order_certificate_failures_raise_not_an_order():
+    F = field(1)
+    O = standard_order(construct(F, 11))
+    J = neighbors(unit_ideal(O), primes_above(F, 2)[0])[0]
+    with pytest.raises(NotAnOrder, match="does not contain 1"):  # conj(J) J / 1 = 2 O_R(J)
+        right_order(LeftIdeal(J.lattice, O, F.one))
+    # a lattice that is not locally principal: conj(L) L / nrd(L) is an order containing 1
+    # but larger than O_R(L), so L times it leaves L
+    L = QuaternionLattice.from_generators(
+        O.algebra, [[-2, 1, 1, -2], [-1, 1, 0, 2], [1, -3, 1, -3], [3, 0, -1, 1]], 1
+    )
+    gram = L.trd_gram()
+    n = F.integer(gcd(*(gram[r][r][0] // 2 for r in range(4)), *(gram[r][s][0] for r in range(4) for s in range(r + 1, 4))))
+    R = Order(L.conjugate_multiply(L, n))
+    assert R.lattice != L.multiplier_lattice("right")
+    with pytest.raises(NotAnOrder, match="not inside I"):
+        right_order(LeftIdeal(L, O, n))
+
+
+def _neighbors_by_preimage(I, prime, o_r):
+    """The neighbor lattices as products I * P, P the lattice between qO_R and O_R over each line."""
+    A, V = _splitting_data(o_r, prime)
+    F = A.F
+    out = []
+    for u, v in [(F.one, F.zero)] + [(c, F.one) for c in F.elements()]:
+        w = tuple(F.add(F.mul(u, s), F.mul(v, t)) for s, t in zip(*V))
+        null = residue_nullspace(F, [list(r) for r in zip(*(A.mul(b, w) for b in A.basis))])
+        out.append(I.lattice.multiply(A.preimage(null)))
+    return out
+
+
+@pytest.mark.parametrize("d,p", [(1, 11), (1, 67), (5, 11), (2, 7)])
+def test_neighbors_equal_preimage_products(d, p):
+    O = standard_order(construct(field(d), p))
+    cs = ideal_classes(O)
+    for I in cs.ideals:
+        o_r = right_order(I)
+        got = [J.lattice for J in neighbors(I, cs.aux_prime, o_r)]
+        assert got == _neighbors_by_preimage(I, cs.aux_prime, o_r)
+
+
+def test_class_enumeration_builds_no_multiplier_lattice(monkeypatch):
+    O = standard_order(construct(field(1), 227))  # saturation, cached, may use it
+    calls = []
+    original = QuaternionLattice.multiplier_lattice
+
+    def counted(self, side):
+        calls.append(side)
+        return original(self, side)
+
+    monkeypatch.setattr(QuaternionLattice, "multiplier_lattice", counted)
+    assert ideal_classes(O).size == 20
+    assert calls == []
 
 
 def test_ideal_norms():
@@ -285,7 +354,7 @@ def _right_multiples(I):
     Short x keep I*x reduced enough for a quick search; the first ones
     include elements of every small norm.
     """
-    O = right_order(I.lattice)
+    O = right_order(I)
     fld = O.algebra.field
     mod = degree_module(O.lattice, fld.one)
     xs = [module_element(mod, e[:-1]) for e in short_vectors(trace_form(mod), 2 * 4 * fld.degree)]
@@ -318,7 +387,7 @@ def _full_scan_classes(order):
             if any(is_isomorphic(J, R) for R in reps):
                 continue
             reps.append(J)
-            weights.append(unit_weight(right_order(J.lattice)))
+            weights.append(unit_weight(right_order(J)))
             mass += Fraction(1, weights[-1])
             queue.append(J)
     return reps, weights
@@ -421,7 +490,7 @@ def _check_order_against_reference(O):
 def _check_classes_against_reference(O):
     _check_order_against_reference(O)
     for I in ideal_classes(O).ideals:
-        O_r = right_order(I.lattice)
+        O_r = right_order(I)
         _check_order_against_reference(O_r)
         assert _reference_ideal_norm(I.lattice, O) == _reference_ideal_norm(I.lattice, O_r) == I.norm
         assert degree_module(I.lattice, I.norm).normalizer == I.norm  # the program's certificate

@@ -17,7 +17,7 @@ from quatheta.fields import field
 from quatheta.orders import ideal_classes, standard_order
 from quatheta.quadmod import hom_modules, norm_counts, trace_form
 from quatheta.quaternions import construct
-from quatheta.shortvec import lll_reduce, short_vectors
+from quatheta.shortvec import _surely_exceeds, lll_reduce, short_vectors
 
 from oracles import module_element, module_value
 
@@ -234,10 +234,10 @@ def _gram_schmidt(gram):
 
 @settings(max_examples=150, deadline=None)
 @given(skewed_gram())
-def test_lll_reduce_is_a_unimodular_lll_reduction(gram):
-    reduced, u = lll_reduce(gram)
-    assert abs(_det(u)) == 1
-    assert reduced == _congruent(u, gram)
+def test_lll_reduce_is_an_lll_reduction(gram):
+    reduced, none = lll_reduce(gram)
+    assert none is None
+    assert _det(reduced) == _det(gram)
     mu, b = _gram_schmidt(reduced)
     n = len(gram)
     assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
@@ -245,18 +245,47 @@ def test_lll_reduce_is_a_unimodular_lll_reduction(gram):
 
 
 @settings(max_examples=100, deadline=None)
-@given(skewed_gram(), st.integers(0, 30))
-def test_reduced_search_finds_the_same_vectors(gram, budget):
-    """The vectors of the reduced form, mapped back by U and sign-normalized, are those of the input form."""
-    reduced, u = lll_reduce(gram)
+@given(skewed_gram(), st.integers(0, 30), st.data())
+def test_reduced_search_finds_the_same_vectors(gram, budget, data):
+    """The reduced pair (R, R2) and the input pair (G, W) give the same multiset of (value, second value)."""
     n = len(gram)
-    back = []
-    for *y, value in short_vectors(reduced, budget):
-        x = tuple(sum(y[k] * u[k][j] for k in range(n)) for j in range(n))
-        if [c for c in x if c][-1] < 0:
-            x = tuple(-c for c in x)
-        back.append((*x, value))
-    assert sorted(back, key=lambda e: e[-2::-1]) == short_vectors(gram, budget)
+    upper = {(i, j): data.draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
+    W = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    reduced, second = lll_reduce(gram, W)
+    assert reduced == lll_reduce(gram)[0]
+    assert _det(second) == _det(W)
+    got = Counter(e[-2:] for e in short_vectors(reduced, budget, second=second))
+    assert got == Counter(e[-2:] for e in short_vectors(gram, budget, second=W))
+
+
+@st.composite
+def small_gram_and_large_budget(draw):
+    """A positive definite Gram A^T A + D of rank 1-4 and a budget whose ball holds up to ~10^4 points."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+    gram = [
+        [sum(a[k][i] * a[k][j] for k in range(n)) + (draw(st.integers(1, 2)) if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return gram, draw(st.integers(0, (400, 200, 100, 50)[n - 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_gram_and_large_budget())
+def test_cap_precheck_never_fires_below_the_true_count(case):
+    """The lattice-point lower bound behind the early BoundTooLarge never exceeds the true count."""
+    gram, budget = case
+    count = 2 * len(short_vectors(gram, budget)) + 1  # with 0 and both signs
+    assert not _surely_exceeds(gram, int(_det(gram)), budget, count)
+
+
+def test_cap_precheck_fires_before_the_search():
+    # Z^4 holds about pi^2/2 * 10^12 points of norm <= 10^6: far past any cap
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert _surely_exceeds(eye, 1, 10**6, 10**9)
+    assert not _surely_exceeds(eye, 1, 10**6, 10**13)
+    with pytest.raises(BoundTooLarge, match="would exceed"):
+        short_vectors(eye, 10**6, cap=1000)
 
 
 def test_lll_reduce_rejects_non_positive_definite():
