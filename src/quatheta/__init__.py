@@ -2,7 +2,7 @@
 theta series, Brandt matrices, and span checks against cusp-space dimensions."""
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
-from .brandt import brandt, cuspidal_eigenvalues, hecke_property_suite
+from .brandt import brandt_table, cuspidal_eigenvalues, hecke_property_suite
 from .cli import RunConfig, run
 from .fields import (
     AlgebraicInteger,
@@ -28,7 +28,7 @@ __all__ = [
     "AlgebraicInteger",
     "FieldDescriptor",
     "RunConfig",
-    "brandt",
+    "brandt_table",
     "classical_dimension",
     "construct",
     "cuspidal_eigenvalues",

@@ -1,15 +1,15 @@
 """Span of theta differences versus known cusp-space dimensions: exact over Q
-via the genus of the modular curve, property-based over real quadratic fields."""
+via the genus of the modular curve, property-based over real quadratic fields
+on the run's Brandt table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brandt import CheckReport, brandt, prime_power_index
+from .brandt import BrandtTable, CheckReport, prime_power_index
 from .fields import PrimeIdeal
 from .linalg import rank_and_pivots_int
-from .orders import ClassSet
 from .quaternions import _legendre
 from .theta import ThetaSeries, theta_difference
 
@@ -103,8 +103,8 @@ def classical_dimension(p: int) -> int:
 
 
 def hecke_stability(
-    classes: ClassSet,
     thetas: list[list[ThetaSeries]],
+    table: BrandtTable,
     primes: list[PrimeIdeal],
     rows: list[tuple[int, ...]],
     base_rank: int,
@@ -112,29 +112,24 @@ def hecke_stability(
     """Exact stability of the difference span under every Brandt action on the source index.
 
     `rows` are the `difference_rows` of the thetas and `base_rank` their
-    rank.  Applying B(q) to the family theta_ij over i sends each difference
-    into an integer combination of differences (row sums cancel the
-    Eisenstein part), so the span must be preserved exactly; this is
-    verified by rank.
+    rank; each prime's index must be in `table`.  Applying B(q) to the
+    family theta_ij over i sends each difference into an integer
+    combination of differences (row sums cancel the Eisenstein part), so
+    the span must be preserved exactly; this is verified by rank.
     """
     report = CheckReport()
-    H = classes.size
-    bound = thetas[0][0].bound
+    H, width = len(thetas), len(thetas[0][0].counts)
     for q in primes:
-        if prime_power_index(q, 1).trace() > bound:
-            continue
-        M = brandt(classes, thetas, prime_power_index(q, 1))
+        M = table[prime_power_index(q, 1).coords()]
         transformed = []
         for i in range(1, H):
+            # row i of B(q) minus row 0, as (k, coefficient) pairs: a Brandt matrix is sparse
+            coeffs = [(k, a - b) for k, (a, b) in enumerate(zip(M.entries[i], M.entries[0])) if a != b]
             for j in range(H):
-                vec = None
-                for k in range(H):
-                    c = M.entries[i][k] - M.entries[0][k]
-                    if c == 0:
-                        continue
-                    term = [c * v for v in thetas[k][j].counts]
-                    vec = term if vec is None else [a + b for a, b in zip(vec, term)]
-                transformed.append(vec if vec is not None else [0] * len(thetas[0][0].counts))
+                vec = [0] * width
+                for k, c in coeffs:
+                    vec = [x + c * v for x, v in zip(vec, thetas[k][j].counts)]
+                transformed.append(vec)
         joint = [list(r) for r in rows] + transformed
         joint_rank, _ = rank_and_pivots_int(joint) if joint else (0, [])
         report.record(
@@ -145,39 +140,32 @@ def hecke_stability(
     return report
 
 
-def eisenstein_weighted_sums(classes: ClassSet, thetas: list[list[ThetaSeries]]) -> CheckReport:
-    """Sum_j a_nu(M_ij)/w_j must be independent of i, coefficient by coefficient."""
+def eisenstein_weighted_sums(table: BrandtTable) -> CheckReport:
+    """Sum_j a_nu(M_ij)/w_j must be independent of i, coefficient by coefficient.
+
+    For nu != 0 the sum is 2 Sum_j B(nu)_ij, twice a row sum of the table,
+    and at nu = 0 it is Sum_j 1/w_j for every i; so the check compares the
+    integer row sums of every B(nu).
+    """
     report = CheckReport()
-    H = classes.size
-    n = len(thetas[0][0].counts)
-    ref = None
-    ok = True
-    detail = ""
-    for i in range(H):
-        row = [
-            sum(Fraction(thetas[i][j].counts[k], classes.weights[j]) for j in range(H))
-            for k in range(n)
-        ]
-        if ref is None:
-            ref = row
-        elif row != ref:
-            ok = False
-            detail = f"row {i} differs from row 0"
-            break
-    report.record("eisenstein_weighted_sum_independent_of_source", ok, detail)
+    H = next(iter(table.values())).size
+    sums = [tuple(sum(M.entries[i]) for M in table.values()) for i in range(H)]
+    bad = next((i for i in range(1, H) if sums[i] != sums[0]), None)
+    detail = "" if bad is None else f"row {bad} differs from row 0"
+    report.record("eisenstein_weighted_sum_independent_of_source", bad is None, detail)
     return report
 
 
 def hilbert_consistency(
-    classes: ClassSet,
     thetas: list[list[ThetaSeries]],
+    table: BrandtTable,
     primes: list[PrimeIdeal],
 ) -> tuple[SpanReport, CheckReport]:
     """Property-based verdict for real quadratic fields: span rank reported,
-    Hecke stability and Eisenstein identities asserted exactly."""
+    Hecke stability and Eisenstein identities asserted exactly on the
+    Brandt matrices of `table`."""
     rows = difference_rows(thetas)
     span = span_rank(thetas, None, rows)
-    checks = hecke_stability(classes, thetas, primes, rows, span.rank)
-    for c in eisenstein_weighted_sums(classes, thetas).checks:
-        checks.checks.append(c)
+    checks = hecke_stability(thetas, table, primes, rows, span.rank)
+    checks.checks.extend(eisenstein_weighted_sums(table).checks)
     return span, checks

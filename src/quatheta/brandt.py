@@ -1,5 +1,6 @@
-"""Brandt matrices assembled from representation numbers, Hecke-algebra
-property checks, and exact cuspidal eigenvalue extraction."""
+"""Brandt matrices read off the theta tables once per run into one table
+keyed by index, Hecke-algebra property checks on that table, and exact
+cuspidal eigenvalue extraction."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from .theta import ThetaSeries
 class BrandtMatrix:
     """H x H integer matrix b_ij = a_m(M_ij) / (2 w_j) for a fixed index m."""
 
-    index: AlgebraicInteger
     entries: tuple[tuple[int, ...], ...]
 
     @property
@@ -24,7 +24,10 @@ class BrandtMatrix:
         return len(self.entries)
 
     def __matmul__(self, other: BrandtMatrix) -> tuple[tuple[int, ...], ...]:
-        return mat_mul(self.entries, other.entries)
+        a, b, n = self.entries, other.entries, self.size
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+        )
 
     def charpoly(self) -> list[int]:
         """Coefficients of det(x - B), leading first, by Berkowitz's division-free
@@ -43,39 +46,44 @@ class BrandtMatrix:
         return poly
 
 
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 def prime_power_index(prime: PrimeIdeal, k: int) -> AlgebraicInteger:
     """Canonical totally positive generator of q^k (not the k-th power of the generator)."""
     return canonical_positive_associate(prime.generator ** k)
 
 
-def brandt(classes: ClassSet, thetas: list[list[ThetaSeries]], index: AlgebraicInteger) -> BrandtMatrix:
-    """Assemble B(index) from the theta tables; integrality is asserted."""
+class BrandtTable(dict):
+    """B(nu) for every nonzero index nu of the theta tables, keyed by nu.coords();
+    any other key, such as an index past the trace bound, raises CoefficientOutOfRange."""
+
+    def __missing__(self, key):
+        raise CoefficientOutOfRange(f"no Brandt matrix at index {key}: not a nonzero index under the theta bound")
+
+
+def brandt_table(classes: ClassSet, thetas: list[list[ThetaSeries]]) -> BrandtTable:
+    """Every Brandt matrix the theta tables determine, in index order.
+
+    theta_ij(nu) = 2 w_j B(nu)_ij for nu != 0 (Pizer), so each entry is a
+    count divided by 2 w_j; a count that does not divide is a normalization
+    bug and raises ArithmeticError.
+    """
     H = classes.size
-    bound = thetas[0][0].bound
-    if index.trace() > bound:
-        raise CoefficientOutOfRange(
-            f"index trace {index.trace()} exceeds theta bound {bound}"
-        )
-    rows = []
-    for i in range(H):
-        row = []
-        for j in range(H):
-            a = thetas[i][j].coefficient(index)
-            w2 = 2 * classes.weights[j]
-            if a % w2 != 0:
-                raise ArithmeticError(
-                    f"representation number {a} not divisible by 2*w_j = {w2}: normalization bug"
-                )
-            row.append(a // w2)
-        rows.append(tuple(row))
-    return BrandtMatrix(index, tuple(rows))
+    w2 = [2 * w for w in classes.weights]
+    table = BrandtTable()
+    for k, nu in enumerate(thetas[0][0].nus):
+        if nu.is_zero():
+            continue
+        rows = []
+        for i in range(H):
+            row = []
+            for j in range(H):
+                a = thetas[i][j].counts[k]
+                b, r = divmod(a, w2[j])
+                if r:
+                    raise ArithmeticError(f"representation number {a} not divisible by 2*w_j = {w2[j]}: normalization bug")
+                row.append(b)
+            rows.append(tuple(row))
+        table[nu.coords()] = BrandtMatrix(tuple(rows))
+    return table
 
 
 def eisenstein_eigenvalue(prime: PrimeIdeal, k: int, p: int) -> int:
@@ -102,70 +110,51 @@ class CheckReport:
         return [c for c in self.checks if not c["ok"]]
 
 
-def hecke_property_suite(
-    classes: ClassSet,
-    thetas: list[list[ThetaSeries]],
-    primes: list[PrimeIdeal],
-    bound: int,
-) -> CheckReport:
+def hecke_property_suite(classes: ClassSet, table: BrandtTable, primes: list[PrimeIdeal]) -> CheckReport:
     """Exact commutation, coprime multiplicativity, prime-power recursion, and
-    Eisenstein row sums for every index that fits under the trace bound."""
+    Eisenstein row sums for every index of `table` the primes reach.
+
+    Each prime's own index must be in the table.
+    """
     report = CheckReport()
-    p = classes.order.algebra.p
-    mats: dict[tuple[int, int], BrandtMatrix] = {}
-
-    def B(prime, k=1):
-        key = (prime.generator.coords(), k)
-        if key not in mats:
-            mats[key] = brandt(classes, thetas, prime_power_index(prime, k))
-        return mats[key]
-
-    usable = [q for q in primes if prime_power_index(q, 1).trace() <= bound]
-    identity = brandt(classes, thetas, classes.order.algebra.field.one)
     H = classes.size
-    eye = tuple(tuple(1 if i == j else 0 for j in range(H)) for i in range(H))
+    identity = table[classes.order.algebra.field.one.coords()]
+    eye = tuple(tuple(int(i == j) for j in range(H)) for i in range(H))
     report.record("unit_index_is_identity", identity.entries == eye)
-    for q in usable:
-        M = B(q)
-        sums = {sum(row) for row in M.entries}
+    powers = []  # [B(1), B(q), B(q^2), ...] for each prime, as far as the table reaches
+    for q in primes:
+        mats = [identity, table[prime_power_index(q, 1).coords()]]
+        while (key := prime_power_index(q, len(mats)).coords()) in table:
+            mats.append(table[key])
+        powers.append(mats)
+        sums = {sum(row) for row in mats[1].entries}
         report.record(
             f"eisenstein_row_sums[{q.generator!r}]",
             sums == {q.norm + 1},
             f"row sums {sorted(sums)}, expected {q.norm + 1}",
         )
-    for a in range(len(usable)):
-        for b in range(a + 1, len(usable)):
-            qa, qb = usable[a], usable[b]
-            lhs = B(qa) @ B(qb)
-            rhs = B(qb) @ B(qa)
-            report.record(
-                f"commutation[{qa.generator!r},{qb.generator!r}]", lhs == rhs
-            )
-            prod_index = canonical_positive_associate(qa.generator * qb.generator)
-            if prod_index.trace() <= bound:
-                both = brandt(classes, thetas, prod_index)
+    for a in range(len(primes)):
+        for b in range(a + 1, len(primes)):
+            qa, qb = primes[a], primes[b]
+            Ba, Bb = powers[a][1], powers[b][1]
+            lhs = Ba @ Bb
+            report.record(f"commutation[{qa.generator!r},{qb.generator!r}]", lhs == Bb @ Ba)
+            key = canonical_positive_associate(qa.generator * qb.generator).coords()
+            if key in table:
                 report.record(
                     f"multiplicativity[{qa.generator!r}*{qb.generator!r}]",
-                    both.entries == lhs,
+                    table[key].entries == lhs,
                 )
-    for q in usable:
-        k = 2
-        while prime_power_index(q, k).trace() <= bound:
-            lhs = brandt(classes, thetas, prime_power_index(q, k)).entries
-            prev = B(q, k - 1).entries
-            prevprev = B(q, k - 2).entries if k >= 2 else eye
+    for q, mats in zip(primes, powers):
+        for k in range(2, len(mats)):
             rec = tuple(
-                tuple(
-                    a - q.norm * b
-                    for a, b in zip(row1, row2)
-                )
-                for row1, row2 in zip(mat_mul(prev, B(q).entries), prevprev)
+                tuple(a - q.norm * b for a, b in zip(row1, row2))
+                for row1, row2 in zip(mats[k - 1] @ mats[1], mats[k - 2].entries)
             )
-            report.record(f"prime_power_recursion[{q.generator!r}^{k}]", lhs == rec)
-            k += 1
+            report.record(f"prime_power_recursion[{q.generator!r}^{k}]", mats[k].entries == rec)
     # self-adjointness w.r.t. the weights: b_ij * w_j = b_ji * w_i
-    for q in usable:
-        M = B(q)
+    for q, mats in zip(primes, powers):
+        M = mats[1]
         ok = all(
             M.entries[i][j] * classes.weights[j] == M.entries[j][i] * classes.weights[i]
             for i in range(H)

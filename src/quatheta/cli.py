@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
-from .brandt import brandt, hecke_property_suite, cuspidal_eigenvalues, prime_power_index, ramanujan_ok
+from .brandt import brandt_table, cuspidal_eigenvalues, hecke_property_suite, prime_power_index, ramanujan_ok
 from .errors import BadPrime, InvalidConfig, QuathetaError
 from .fields import AlgebraicInteger, field, primes_above
 from .orders import default_aux_prime, ideal_classes, level_one_order, mass_formula, standard_order
@@ -245,10 +245,11 @@ def run(cfg: RunConfig) -> dict:
 
     t0 = time.monotonic()
     hecke, timings["hecke_dropped"] = _hecke_primes(cfg, fld)
-    suite = hecke_property_suite(classes, thetas, hecke, cfg.bound)
+    table = brandt_table(classes, thetas)
+    suite = hecke_property_suite(classes, table, hecke)
     blocks = []
     for P in hecke:
-        M = brandt(classes, thetas, prime_power_index(P, 1))
+        M = table[prime_power_index(P, 1).coords()]
         charpoly = M.charpoly()
         evs = cuspidal_eigenvalues(charpoly, P) if H >= 2 else []
         cuspidal = tuple(
@@ -272,7 +273,7 @@ def run(cfg: RunConfig) -> dict:
         span = span_rank(thetas, classical_dimension(cfg.p) if cfg.mode == "level_p" else None)
         extra_checks = None
     else:
-        span, extra_checks = hilbert_consistency(classes, thetas, hecke)
+        span, extra_checks = hilbert_consistency(thetas, table, hecke)
     timings["span"] = time.monotonic() - t0
 
     all_ok = suite.all_ok and span.verdict in ("pass", "rank-reported")
@@ -375,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         if out and (out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK))):
             raise InvalidConfig(f"cannot write the report to {args.out}: not a file in a writable directory")
         report = run(cfg)
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report)
         if out:
             try:
                 out.write_text(text)

@@ -4,7 +4,7 @@ rank 4g (`quadmod.norm_counts`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import IncompatibleBounds
 from .fields import AlgebraicInteger, enumerate_totally_positive
@@ -15,7 +15,7 @@ from .shortvec import short_vectors  # noqa: F401  (unused; perfbench/test_perfb
 
 @dataclass(frozen=True)
 class ThetaSeries:
-    """Coefficient table nu -> a_nu over the canonical totally positive index set."""
+    """Coefficient table over the canonical totally positive index set: counts[k] is a_nu for nu = nus[k]."""
 
     field: object
     i: int
@@ -23,22 +23,9 @@ class ThetaSeries:
     bound: int
     nus: tuple[AlgebraicInteger, ...]
     counts: tuple[int, ...]
-    positions: dict = dc_field(compare=False, repr=False)  # (a, b) -> place in nus, one per index tuple
-
-    def coefficient(self, nu: AlgebraicInteger) -> int:
-        try:
-            return self.counts[self.positions[nu.coords()]]
-        except KeyError:
-            raise IncompatibleBounds(f"{nu!r} is outside the computed index set") from None
 
     def total(self) -> int:
         return sum(self.counts)
-
-
-def _index(fld, bound: int) -> tuple[tuple[AlgebraicInteger, ...], dict]:
-    """The index set of trace at most `bound`, and its position map."""
-    nus = tuple(enumerate_totally_positive(fld, bound))
-    return nus, {nu.coords(): k for k, nu in enumerate(nus)}
 
 
 def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeries:
@@ -50,12 +37,12 @@ def theta(mod: QuadraticModule, bound: int, cap: int = DEFAULT_CAP) -> ThetaSeri
         raise ValueError("bound must be nonnegative")
     fld = mod.field
     pairs = norm_counts(mod, bound, cap)
-    index, positions = _index(fld, bound)
-    stray = [k for k in pairs if k not in positions]
+    index = tuple(enumerate_totally_positive(fld, bound))
+    stray = pairs.keys() - {nu.coords() for nu in index}
     if stray:
-        raise ArithmeticError(f"enumerated values {stray} fall outside the index set")
+        raise ArithmeticError(f"enumerated values {sorted(stray)} fall outside the index set")
     counts = tuple(1 if nu.is_zero() else 2 * pairs.get(nu.coords(), 0) for nu in index)
-    return ThetaSeries(fld, mod.i, mod.j, bound, index, counts, positions)
+    return ThetaSeries(fld, mod.i, mod.j, bound, index, counts)
 
 
 def theta_matrix(mods: list[list[QuadraticModule]], bound: int) -> list[list[ThetaSeries]]:
@@ -63,8 +50,8 @@ def theta_matrix(mods: list[list[QuadraticModule]], bound: int) -> list[list[The
 
     `mods[j][i]` must be the conjugate of `mods[i][j]`, as `hom_modules`
     builds it: Nrd(conj x) = Nrd(x), so the two have the same theta series.
-    Only the modules with i <= j are enumerated, and (j, i) shares the index,
-    count and position tables of (i, j).
+    Only the modules with i <= j are enumerated, and (j, i) shares the index
+    and count tables of (i, j).
     """
     H = len(mods)
     series = [[None] * H for _ in range(H)]
@@ -72,7 +59,7 @@ def theta_matrix(mods: list[list[QuadraticModule]], bound: int) -> list[list[The
         for j in range(i, H):
             t = theta(mods[i][j], bound)
             series[i][j] = t
-            series[j][i] = ThetaSeries(t.field, t.j, t.i, bound, t.nus, t.counts, t.positions)
+            series[j][i] = ThetaSeries(t.field, t.j, t.i, bound, t.nus, t.counts)
     return series
 
 

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from quatheta.basis import classical_dimension, hilbert_consistency, span_rank
-from quatheta.brandt import brandt, cuspidal_eigenvalues, hecke_property_suite, prime_power_index
+from quatheta.brandt import brandt_table, cuspidal_eigenvalues, hecke_property_suite, prime_power_index
 from quatheta.cli import _default_hecke
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, mass_formula, standard_order
@@ -82,12 +82,12 @@ def test_criterion_3_eigenvalue_oracle():
     """(Q, 11) cuspidal eigenvalues at 2,3,5,7 equal eta-product coefficients; < 10 s."""
     t0 = time.monotonic()
     cs = _classes(1, 11)
-    thetas = theta_matrix(hom_modules(cs.ideals), 8)
+    table = brandt_table(cs, theta_matrix(hom_modules(cs.ideals), 8))
     eta = eta_product_coefficients(11, 8)
     expected = {2: -2, 3: -1, 5: 1, 7: -2}
     for q, val in expected.items():
         P = primes_above(field(1), q)[0]
-        evs = cuspidal_eigenvalues(brandt(cs, thetas, prime_power_index(P, 1)).charpoly(), P)
+        evs = cuspidal_eigenvalues(table[prime_power_index(P, 1).coords()].charpoly(), P)
         ok = len(evs) == 1 and evs[0].exact == val == eta[q]
         _report(
             f"criterion 3: cuspidal eigenvalue at {q}",
@@ -145,7 +145,7 @@ def test_criterion_6_hecke_property_suite():
         thetas = theta_matrix(hom_modules(cs.ideals), bound)
         primes = _default_hecke(field(d), p, bound)
         assert all(P.norm <= 25 for P in primes)
-        rep = hecke_property_suite(cs, thetas, primes, bound)
+        rep = hecke_property_suite(cs, brandt_table(cs, thetas), primes)
         _report(
             f"criterion 6: hecke suite (d={d}, p={p})",
             rep.all_ok,
@@ -160,7 +160,7 @@ def test_criterion_7_hilbert_hecke_stability():
     cs = _classes(5, 11)
     thetas = theta_matrix(hom_modules(cs.ideals), 12)
     primes = _default_hecke(field(5), 11, 12)
-    span, checks = hilbert_consistency(cs, thetas, primes)
+    span, checks = hilbert_consistency(thetas, brandt_table(cs, thetas), primes)
     _report(
         "criterion 7: hilbert hecke stability and eisenstein identity",
         checks.all_ok,

@@ -1,5 +1,7 @@
 """Span of theta differences against the genus oracle and Hilbert property checks."""
 
+import pytest
+
 from quatheta.basis import (
     classical_dimension,
     difference_rows,
@@ -8,6 +10,8 @@ from quatheta.basis import (
     hilbert_consistency,
     span_rank,
 )
+from quatheta.brandt import BrandtMatrix, BrandtTable, brandt_table
+from quatheta.errors import CoefficientOutOfRange
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, standard_order
 from quatheta.quadmod import hom_modules
@@ -64,16 +68,20 @@ def test_rank_monotone_and_stabilizes():
 
 def test_hilbert_consistency_sqrt5_eleven():
     cs, th = _setup(5, 11, 10)
-    primes = [primes_above(field(5), q)[0] for q in (2, 3, 7)]
-    span, checks = hilbert_consistency(cs, th, primes)
+    table = brandt_table(cs, th)
+    primes = [primes_above(field(5), q)[0] for q in (2, 3)]
+    span, checks = hilbert_consistency(th, table, primes)
     assert span.rank == cs.size - 1  # no coincident theta rows here
     assert span.stable
     assert checks.all_ok, checks.failures()
+    # 7 is inert in Q(sqrt5): its index 7 has trace 14, past the bound 10
+    with pytest.raises(CoefficientOutOfRange):
+        hilbert_consistency(th, table, [primes_above(field(5), 7)[0]])
 
 
 def test_hilbert_level_two_single_class():
     cs, th = _setup(5, 2, 8)
-    span, checks = hilbert_consistency(cs, th, [primes_above(field(5), 3)[0]])
+    span, checks = hilbert_consistency(th, brandt_table(cs, th), [primes_above(field(5), 3)[0]])
     assert span.class_count == 1
     assert span.rank == 0
     assert checks.all_ok
@@ -81,12 +89,27 @@ def test_hilbert_level_two_single_class():
 
 def test_eisenstein_weighted_sums_exact():
     cs, th = _setup(5, 11, 8)
-    rep = eisenstein_weighted_sums(cs, th)
+    rep = eisenstein_weighted_sums(brandt_table(cs, th))
     assert rep.all_ok
+
+
+def test_eisenstein_weighted_sums_name_the_first_differing_row():
+    cs, th = _setup(5, 11, 8)
+    table = brandt_table(cs, th)
+    key, M = list(table.items())[-1]
+    rows = [list(r) for r in M.entries]
+    rows[2][0] += 1  # row 2 of the last B(nu) sums one too high
+    perturbed = BrandtTable(table)
+    perturbed[key] = BrandtMatrix(tuple(map(tuple, rows)))
+    rep = eisenstein_weighted_sums(perturbed)
+    assert [(c["name"], c["ok"], c["detail"]) for c in rep.checks] == [
+        ("eisenstein_weighted_sum_independent_of_source", False, "row 2 differs from row 0")
+    ]
 
 
 def test_hecke_stability_exact():
     cs, th = _setup(5, 11, 10)
     rows = difference_rows(th)
-    rep = hecke_stability(cs, th, [primes_above(field(5), 2)[0]], rows, span_rank(th, None, rows).rank)
+    table = brandt_table(cs, th)
+    rep = hecke_stability(th, table, [primes_above(field(5), 2)[0]], rows, span_rank(th, None, rows).rank)
     assert rep.all_ok, rep.failures()

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import quatheta.brandt
+from quatheta import cli
 from quatheta.cli import RunConfig, main, run, report_body
 from quatheta.fields import field
 from quatheta.orders import ideal_classes, standard_order
@@ -188,8 +190,19 @@ REPORT_DIGESTS = {
     # the default mode is left out of the test id
     [pytest.param(*key, id="-".join(str(k) for k in key if k != "level_p")) for key in sorted(REPORT_DIGESTS)],
 )
-def test_report_digest(d, p, mode, bound):
+def test_report_digest(d, p, mode, bound, monkeypatch):
+    # every Brandt matrix of the run, for the checks, the blocks and the
+    # Hilbert checks alike, comes from one table built once
+    build, builds = cli.brandt_table, []
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    for module in (cli, quatheta.brandt):
+        monkeypatch.setattr(module, "brandt_table", counted)
     body = report_body(run(RunConfig(d=d, p=p, mode=mode, bound=bound)))
+    assert len(builds) == 1
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_DIGESTS[(d, p, mode, bound)]
 
