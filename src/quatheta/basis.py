@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brandt import BrandtTable, CheckReport, prime_power_index
-from .fields import PrimeIdeal
+from .brandt import BrandtTable, CheckReport, HeckePrime
 from .linalg import rank_and_pivots_int
 from .quaternions import _legendre
 from .theta import ThetaSeries, theta_difference
@@ -105,7 +104,7 @@ def classical_dimension(p: int) -> int:
 def hecke_stability(
     thetas: list[list[ThetaSeries]],
     table: BrandtTable,
-    primes: list[PrimeIdeal],
+    hecke: list[HeckePrime],
     rows: list[tuple[int, ...]],
     base_rank: int,
 ) -> CheckReport:
@@ -119,8 +118,8 @@ def hecke_stability(
     """
     report = CheckReport()
     H, width = len(thetas), len(thetas[0][0].counts)
-    for q in primes:
-        M = table[prime_power_index(q, 1).coords()]
+    for h in hecke:
+        M = table[h.key]
         transformed = []
         for i in range(1, H):
             # row i of B(q) minus row 0, as (k, coefficient) pairs: a Brandt matrix is sparse
@@ -133,7 +132,7 @@ def hecke_stability(
         joint = [list(r) for r in rows] + transformed
         joint_rank, _ = rank_and_pivots_int(joint) if joint else (0, [])
         report.record(
-            f"hecke_stability[{q.generator!r}]",
+            f"hecke_stability[{h.prime.generator!r}]",
             joint_rank == base_rank,
             f"rank {base_rank} -> {joint_rank}",
         )
@@ -159,13 +158,13 @@ def eisenstein_weighted_sums(table: BrandtTable) -> CheckReport:
 def hilbert_consistency(
     thetas: list[list[ThetaSeries]],
     table: BrandtTable,
-    primes: list[PrimeIdeal],
+    hecke: list[HeckePrime],
 ) -> tuple[SpanReport, CheckReport]:
     """Property-based verdict for real quadratic fields: span rank reported,
     Hecke stability and Eisenstein identities asserted exactly on the
     Brandt matrices of `table`."""
     rows = difference_rows(thetas)
     span = span_rank(thetas, None, rows)
-    checks = hecke_stability(thetas, table, primes, rows, span.rank)
+    checks = hecke_stability(thetas, table, hecke, rows, span.rank)
     checks.checks.extend(eisenstein_weighted_sums(table).checks)
     return span, checks

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import mul
 
 from .errors import CoefficientOutOfRange
 from .fields import AlgebraicInteger, PrimeIdeal, canonical_positive_associate
 from .orders import ClassSet
 from .theta import ThetaSeries
+from .zpoly import factor
 
 
 @dataclass(frozen=True)
@@ -24,10 +26,8 @@ class BrandtMatrix:
         return len(self.entries)
 
     def __matmul__(self, other: BrandtMatrix) -> tuple[tuple[int, ...], ...]:
-        a, b, n = self.entries, other.entries, self.size
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-        )
+        cols = tuple(zip(*other.entries))
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
 
     def charpoly(self) -> list[int]:
         """Coefficients of det(x - B), leading first, by Berkowitz's division-free
@@ -49,6 +49,23 @@ class BrandtMatrix:
 def prime_power_index(prime: PrimeIdeal, k: int) -> AlgebraicInteger:
     """Canonical totally positive generator of q^k (not the k-th power of the generator)."""
     return canonical_positive_associate(prime.generator ** k)
+
+
+@dataclass(frozen=True)
+class HeckePrime:
+    """A Hecke prime with its own index, computed once when the prime is selected."""
+
+    prime: PrimeIdeal
+    index: AlgebraicInteger
+
+    @classmethod
+    def of(cls, prime: PrimeIdeal) -> HeckePrime:
+        return cls(prime, prime_power_index(prime, 1))
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """The prime's key in a BrandtTable."""
+        return self.index.coords()
 
 
 class BrandtTable(dict):
@@ -110,20 +127,21 @@ class CheckReport:
         return [c for c in self.checks if not c["ok"]]
 
 
-def hecke_property_suite(classes: ClassSet, table: BrandtTable, primes: list[PrimeIdeal]) -> CheckReport:
+def hecke_property_suite(classes: ClassSet, table: BrandtTable, hecke: list[HeckePrime]) -> CheckReport:
     """Exact commutation, coprime multiplicativity, prime-power recursion, and
     Eisenstein row sums for every index of `table` the primes reach.
 
     Each prime's own index must be in the table.
     """
+    primes = [h.prime for h in hecke]
     report = CheckReport()
     H = classes.size
     identity = table[classes.order.algebra.field.one.coords()]
     eye = tuple(tuple(int(i == j) for j in range(H)) for i in range(H))
     report.record("unit_index_is_identity", identity.entries == eye)
     powers = []  # [B(1), B(q), B(q^2), ...] for each prime, as far as the table reaches
-    for q in primes:
-        mats = [identity, table[prime_power_index(q, 1).coords()]]
+    for h, q in zip(hecke, primes):
+        mats = [identity, table[h.key]]
         while (key := prime_power_index(q, len(mats)).coords()) in table:
             mats.append(table[key])
         powers.append(mats)
@@ -184,44 +202,28 @@ def cuspidal_eigenvalues(charpoly: list[int], prime: PrimeIdeal) -> list[Eigenva
 
     The all-ones vector is an eigenvector with eigenvalue Nq+1; the cuspidal
     part is read off the characteristic polynomial divided by that factor.
-    Rational roots are exact; the rest come as isolation intervals from the
-    square-free factorization over Q.
+    Rational roots are exact; the rest come as isolation intervals of the
+    irreducible factors over Z, which sympy's continued-fraction isolator
+    computes on integer coefficient lists.
     """
-    import sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
 
-    x = sympy.Symbol("x")
     quo = [charpoly[0]]  # synthetic division by x - (Nq + 1); the last entry is the remainder
     for c in charpoly[1:]:
         quo.append(c + (prime.norm + 1) * quo[-1])
     if quo.pop():
         raise ArithmeticError("Eisenstein eigenvalue missing from the spectrum")
     out = []
-    for factor, mult in sympy.factor_list(sympy.Poly(quo, x))[1]:
-        fpoly = sympy.Poly(factor, x)
-        if fpoly.degree() == 1:
-            c1, c0 = fpoly.all_coeffs()
-            root = Fraction(-int(c0), int(c1))
-            for _ in range(mult):
-                out.append(Eigenvalue(tuple(int(c) for c in fpoly.all_coeffs()), root, None))
-        else:
-            for lo, hi in _isolate_real_roots(fpoly):
-                for _ in range(mult):
-                    out.append(
-                        Eigenvalue(
-                            tuple(int(c) for c in fpoly.all_coeffs()),
-                            None,
-                            (lo, hi),
-                        )
-                    )
+    for fpoly, mult in factor(quo):
+        minpoly = tuple(fpoly)
+        if len(fpoly) == 2:
+            out.extend([Eigenvalue(minpoly, Fraction(-fpoly[1]), None)] * mult)
+            continue
+        for lo, hi in dup_isolate_real_roots_sqf(fpoly, ZZ):
+            interval = (Fraction(lo.numerator, lo.denominator), Fraction(hi.numerator, hi.denominator))
+            out.extend([Eigenvalue(minpoly, None, interval)] * mult)
     out.sort(key=lambda e: e.bounds()[0])
-    return out
-
-
-def _isolate_real_roots(fpoly) -> list[tuple[Fraction, Fraction]]:
-    ivs = fpoly.intervals()
-    out = []
-    for (lo, hi), _mult in ivs:
-        out.append((Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))))
     return out
 
 

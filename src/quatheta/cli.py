@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
-from .brandt import brandt_table, cuspidal_eigenvalues, hecke_property_suite, prime_power_index, ramanujan_ok
+from .brandt import HeckePrime, brandt_table, cuspidal_eigenvalues, hecke_property_suite, ramanujan_ok
 from .errors import BadPrime, InvalidConfig, QuathetaError
 from .fields import AlgebraicInteger, field, primes_above
 from .orders import default_aux_prime, ideal_classes, level_one_order, mass_formula, standard_order
@@ -48,16 +48,19 @@ def _coords(x: AlgebraicInteger) -> list[int]:
     return [x.a, x.b]
 
 
-def _default_hecke(fld, p: int, bound: int) -> list:
+def _default_hecke(fld, p: int, bound: int) -> list[HeckePrime]:
     """Primes of norm at most 25, coprime to p, whose index fits under the bound."""
     out = []
     for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         if ell == p or p % ell == 0:
             continue
         for P in primes_above(fld, ell):
-            if P.norm <= 25 and prime_power_index(P, 1).trace() <= bound:
-                out.append(P)
-    out.sort(key=lambda P: (P.norm, P.generator.key()))
+            if P.norm > 25:
+                continue
+            h = HeckePrime.of(P)
+            if h.index.trace() <= bound:
+                out.append(h)
+    out.sort(key=lambda h: (h.prime.norm, h.prime.generator.key()))
     return out
 
 
@@ -177,7 +180,7 @@ def _brandt_blocks(blocks) -> list[dict]:
     ]
 
 
-def _hecke_primes(cfg: RunConfig, fld) -> tuple[list, list[dict]]:
+def _hecke_primes(cfg: RunConfig, fld) -> tuple[list[HeckePrime], list[dict]]:
     """The Hecke primes to check, and the requested ones dropped with the reason.
 
     Raises BadPrime when a requested prime divides the level p.
@@ -192,9 +195,10 @@ def _hecke_primes(cfg: RunConfig, fld) -> tuple[list, list[dict]]:
     for P in by_generator.values():
         if cfg.mode == "level_p" and P.residue_char == cfg.p:
             raise BadPrime(f"Hecke prime {P!r} divides the level {cfg.p}")
-        trace = prime_power_index(P, 1).trace()
+        h = HeckePrime.of(P)
+        trace = h.index.trace()
         if trace <= cfg.bound:
-            hecke.append(P)
+            hecke.append(h)
         else:
             dropped.append({"prime": _coords(P.generator), "reason": f"index trace {trace} > bound {cfg.bound}"})
     return hecke, dropped
@@ -248,8 +252,8 @@ def run(cfg: RunConfig) -> dict:
     table = brandt_table(classes, thetas)
     suite = hecke_property_suite(classes, table, hecke)
     blocks = []
-    for P in hecke:
-        M = table[prime_power_index(P, 1).coords()]
+    for h in hecke:
+        P, M = h.prime, table[h.key]
         charpoly = M.charpoly()
         evs = cuspidal_eigenvalues(charpoly, P) if H >= 2 else []
         cuspidal = tuple(
@@ -288,7 +292,7 @@ def run(cfg: RunConfig) -> dict:
             "mode": cfg.mode,
             "bound": cfg.bound,
             "aux_prime": _coords(aux.generator),
-            "hecke": [_coords(P.generator) for P in hecke],
+            "hecke": [_coords(h.prime.generator) for h in hecke],
         },
         "algebra": {
             "a": _coords(alg.a),

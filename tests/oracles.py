@@ -3,7 +3,8 @@
 Everything here recomputes expected values through a different algorithm
 from the production code path: naive box scans instead of branch-and-bound,
 full residue-ring searches instead of valuation case analysis, direct
-power-series products for eigenvalue data, and quaternions with coordinates
+power-series products and sympy's factorization and root isolation for
+eigenvalue data, and quaternions with coordinates
 in L multiplied by the product formula instead of integer rows multiplied
 through structure constants.  Nothing here imports quatheta.lattices or
 quatheta.quadmod; lattices and modules are read through their `algebra`,
@@ -327,6 +328,30 @@ def eta_product_coefficients(p: int, nmax: int) -> list[int]:
             for _ in range(2):
                 poly = times_one_minus_qk(poly, p * n)
     return [0] + poly[:nmax]
+
+
+def cuspidal_eigenvalues_sympy(charpoly: list[int], norm: int) -> list[tuple]:
+    """(minpoly, exact, interval) for each cuspidal eigenvalue of a Brandt
+    matrix B(q) with N(q) = norm, through sympy's `factor_list` and
+    `Poly.intervals`, sorted stably by lower bound."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    quo = [charpoly[0]]  # synthetic division by x - (norm + 1)
+    for c in charpoly[1:]:
+        quo.append(c + (norm + 1) * quo[-1])
+    assert quo.pop() == 0
+    out = []
+    for factor, mult in sympy.factor_list(sympy.Poly(quo, x))[1]:
+        fpoly = sympy.Poly(factor, x)
+        minpoly = tuple(int(c) for c in fpoly.all_coeffs())
+        if fpoly.degree() == 1:
+            out += [(minpoly, Fraction(-minpoly[1], minpoly[0]), None)] * mult
+        else:
+            for (lo, hi), _ in fpoly.intervals():
+                out += [(minpoly, None, (Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))))] * mult
+    out.sort(key=lambda e: e[1] if e[2] is None else e[2][0])
+    return out
 
 
 def tp_box_scan(fld, bound: int):

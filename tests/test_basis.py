@@ -10,7 +10,7 @@ from quatheta.basis import (
     hilbert_consistency,
     span_rank,
 )
-from quatheta.brandt import BrandtMatrix, BrandtTable, brandt_table
+from quatheta.brandt import BrandtMatrix, BrandtTable, HeckePrime, brandt_table
 from quatheta.errors import CoefficientOutOfRange
 from quatheta.fields import field, primes_above
 from quatheta.orders import ideal_classes, level_one_order, standard_order
@@ -69,19 +69,19 @@ def test_rank_monotone_and_stabilizes():
 def test_hilbert_consistency_sqrt5_eleven():
     cs, th = _setup(5, 11, 10)
     table = brandt_table(cs, th)
-    primes = [primes_above(field(5), q)[0] for q in (2, 3)]
+    primes = [HeckePrime.of(primes_above(field(5), q)[0]) for q in (2, 3)]
     span, checks = hilbert_consistency(th, table, primes)
     assert span.rank == cs.size - 1  # no coincident theta rows here
     assert span.stable
     assert checks.all_ok, checks.failures()
     # 7 is inert in Q(sqrt5): its index 7 has trace 14, past the bound 10
     with pytest.raises(CoefficientOutOfRange):
-        hilbert_consistency(th, table, [primes_above(field(5), 7)[0]])
+        hilbert_consistency(th, table, [HeckePrime.of(primes_above(field(5), 7)[0])])
 
 
 def test_hilbert_level_two_single_class():
     cs, th = _setup(5, 2, 8)
-    span, checks = hilbert_consistency(th, brandt_table(cs, th), [primes_above(field(5), 3)[0]])
+    span, checks = hilbert_consistency(th, brandt_table(cs, th), [HeckePrime.of(primes_above(field(5), 3)[0])])
     assert span.class_count == 1
     assert span.rank == 0
     assert checks.all_ok
@@ -111,5 +111,6 @@ def test_hecke_stability_exact():
     cs, th = _setup(5, 11, 10)
     rows = difference_rows(th)
     table = brandt_table(cs, th)
-    rep = hecke_stability(th, table, [primes_above(field(5), 2)[0]], rows, span_rank(th, None, rows).rank)
+    P2 = HeckePrime.of(primes_above(field(5), 2)[0])
+    rep = hecke_stability(th, table, [P2], rows, span_rank(th, None, rows).rank)
     assert rep.all_ok, rep.failures()

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from quatheta.brandt import (
+    HeckePrime,
     brandt_table,
     cuspidal_eigenvalues,
     hecke_property_suite,
@@ -18,7 +19,7 @@ from quatheta.quadmod import hom_modules
 from quatheta.quaternions import construct
 from quatheta.theta import theta_matrix
 
-from oracles import eta_product_coefficients
+from oracles import cuspidal_eigenvalues_sympy, eta_product_coefficients
 
 
 def _cuspidal(table, prime):
@@ -111,7 +112,7 @@ def test_quadratic_eigenvalue_pair_at_23():
 def test_hecke_suite_rational():
     for p in (11, 23):
         cs, _, table = _setup(1, p, 26)
-        primes = [primes_above(field(1), q)[0] for q in (2, 3, 5, 7, 13) if q != p]
+        primes = [HeckePrime.of(primes_above(field(1), q)[0]) for q in (2, 3, 5, 7, 13) if q != p]
         rep = hecke_property_suite(cs, table, primes)
         assert rep.all_ok, rep.failures()
 
@@ -121,7 +122,7 @@ def test_single_class_brandt_is_sigma():
     cs, _, table = _setup(1, 2, 8)
     for q in (3, 5, 7):
         assert table[(q, 0)].entries == ((q + 1,),)
-    rep = hecke_property_suite(cs, table, [primes_above(field(1), q)[0] for q in (3, 5, 7)])
+    rep = hecke_property_suite(cs, table, [HeckePrime.of(primes_above(field(1), q)[0]) for q in (3, 5, 7)])
     assert rep.all_ok, rep.failures()
 
 
@@ -129,7 +130,7 @@ def test_level_one_single_class_quadratic():
     cs, _, table = _setup(5, 2, 8, mode="level_one")
     P3 = primes_above(field(5), 3)[0]
     assert table[prime_power_index(P3, 1).coords()].entries == ((10,),)  # N(3) + 1
-    rep = hecke_property_suite(cs, table, [P3])
+    rep = hecke_property_suite(cs, table, [HeckePrime.of(P3)])
     assert rep.all_ok, rep.failures()
 
 
@@ -189,7 +190,7 @@ def test_charpoly_matches_sympy_on_brandt_matrices(d, p, bound):
 
     _, _, table = _setup(d, p, bound)
     checked = 0
-    for P in _default_hecke(field(d), p, bound):
+    for P in (h.prime for h in _default_hecke(field(d), p, bound)):
         k = 1
         while prime_power_index(P, k).coords() in table:
             M = table[prime_power_index(P, k).coords()]
@@ -197,3 +198,15 @@ def test_charpoly_matches_sympy_on_brandt_matrices(d, p, bound):
             checked += 1
             k += 1
     assert checked >= 4
+
+
+def test_cuspidal_eigenvalues_equal_the_sympy_reference(brandt_charpolys):
+    # factors, multiplicities, intervals and order, for every Hecke prime of the digest configurations
+    repeated = set()
+    for (d, p, _, _), blocks in brandt_charpolys.items():
+        for charpoly, prime in blocks:
+            got = [(e.minpoly, e.exact, e.interval) for e in cuspidal_eigenvalues(charpoly, prime)]
+            assert got == cuspidal_eigenvalues_sympy(charpoly, prime.norm), (d, p, prime)
+            if len(set(got)) < len(got):
+                repeated.add((d, p))
+    assert repeated >= {(1, 37), (1, 67), (1, 73), (5, 11), (2, 7), (17, 5)}

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,6 +206,22 @@ def test_report_digest(d, p, mode, bound, monkeypatch):
     assert len(builds) == 1
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_DIGESTS[(d, p, mode, bound)]
+
+
+def test_each_hecke_index_is_computed_once(monkeypatch):
+    # each Hecke prime carries its own index from its selection on; the
+    # suite computes the higher powers, each once
+    calls = Counter()
+    index = quatheta.brandt.prime_power_index
+
+    def counted(prime, k):
+        calls[prime.generator.coords(), k] += 1
+        return index(prime, k)
+
+    monkeypatch.setattr(quatheta.brandt, "prime_power_index", counted)
+    run(RunConfig(d=5, p=11, bound=12))
+    assert len(calls) == 12
+    assert set(calls.values()) == {1}
 
 
 def test_sqrt2_level_eleven_finishes(tmp_path):
