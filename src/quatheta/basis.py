@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brandt import BrandtTable, CheckReport, HeckePrime
+from .brandt import BrandtTable, CheckReport
+from .fields import PrimeIdeal
 from .linalg import rank_and_pivots_int
 from .quaternions import _legendre
 from .theta import ThetaSeries, theta_difference
@@ -44,9 +45,10 @@ def span_rank(
     """Exact rank over Q of the theta-difference coefficient matrix.
 
     `rows` are the `difference_rows` of the thetas, built here when not
-    given.  Stability is recorded by comparing with the rank of the columns
-    of trace at most bound-4; a report with stable=False means the bound is
-    too small for the rank to have settled.
+    given.  Stability compares with the rank of the columns of trace at most
+    bound-4, a prefix of the index (in trace order), so that rank counts the
+    pivots there; stable=False means the bound is too small for the rank to
+    have settled.
     """
     H = len(thetas)
     bound = thetas[0][0].bound
@@ -60,16 +62,13 @@ def span_rank(
     rank, pivots = rank_and_pivots_int([list(r) for r in rows])
     if rank > H - 1:
         raise ArithmeticError(f"difference span rank {rank} exceeds H-1 = {H - 1}")
-    cut = [k for k, nu in enumerate(nus) if nu.trace() <= bound - 4]
-    trunc = [[r[k] for k in cut] for r in rows]
-    rank_small, _ = rank_and_pivots_int(trunc) if cut else (0, [])
     report = SpanReport(
         H,
         bound,
         rank,
         [nus[k].coords() for k in pivots],
         expected_dimension,
-        rank_small == rank,
+        all(nus[k].trace() <= bound - 4 for k in pivots),
         "",
     )
     report.verdict = _verdict(report)
@@ -104,7 +103,7 @@ def classical_dimension(p: int) -> int:
 def hecke_stability(
     thetas: list[list[ThetaSeries]],
     table: BrandtTable,
-    hecke: list[HeckePrime],
+    hecke: list[PrimeIdeal],
     rows: list[tuple[int, ...]],
     base_rank: int,
 ) -> CheckReport:
@@ -118,8 +117,8 @@ def hecke_stability(
     """
     report = CheckReport()
     H, width = len(thetas), len(thetas[0][0].counts)
-    for h in hecke:
-        M = table[h.key]
+    for P in hecke:
+        M = table[P.generator.coords()]
         transformed = []
         for i in range(1, H):
             # row i of B(q) minus row 0, as (k, coefficient) pairs: a Brandt matrix is sparse
@@ -132,7 +131,7 @@ def hecke_stability(
         joint = [list(r) for r in rows] + transformed
         joint_rank, _ = rank_and_pivots_int(joint) if joint else (0, [])
         report.record(
-            f"hecke_stability[{h.prime.generator!r}]",
+            f"hecke_stability[{P.generator!r}]",
             joint_rank == base_rank,
             f"rank {base_rank} -> {joint_rank}",
         )
@@ -158,7 +157,7 @@ def eisenstein_weighted_sums(table: BrandtTable) -> CheckReport:
 def hilbert_consistency(
     thetas: list[list[ThetaSeries]],
     table: BrandtTable,
-    hecke: list[HeckePrime],
+    hecke: list[PrimeIdeal],
 ) -> tuple[SpanReport, CheckReport]:
     """Property-based verdict for real quadratic fields: span rank reported,
     Hecke stability and Eisenstein identities asserted exactly on the

@@ -51,23 +51,6 @@ def prime_power_index(prime: PrimeIdeal, k: int) -> AlgebraicInteger:
     return canonical_positive_associate(prime.generator ** k)
 
 
-@dataclass(frozen=True)
-class HeckePrime:
-    """A Hecke prime with its own index, computed once when the prime is selected."""
-
-    prime: PrimeIdeal
-    index: AlgebraicInteger
-
-    @classmethod
-    def of(cls, prime: PrimeIdeal) -> HeckePrime:
-        return cls(prime, prime_power_index(prime, 1))
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """The prime's key in a BrandtTable."""
-        return self.index.coords()
-
-
 class BrandtTable(dict):
     """B(nu) for every nonzero index nu of the theta tables, keyed by nu.coords();
     any other key, such as an index past the trace bound, raises CoefficientOutOfRange."""
@@ -127,21 +110,20 @@ class CheckReport:
         return [c for c in self.checks if not c["ok"]]
 
 
-def hecke_property_suite(classes: ClassSet, table: BrandtTable, hecke: list[HeckePrime]) -> CheckReport:
+def hecke_property_suite(classes: ClassSet, table: BrandtTable, primes: list[PrimeIdeal]) -> CheckReport:
     """Exact commutation, coprime multiplicativity, prime-power recursion, and
     Eisenstein row sums for every index of `table` the primes reach.
 
-    Each prime's own index must be in the table.
+    Each prime's own index, its generator, must be in the table.
     """
-    primes = [h.prime for h in hecke]
     report = CheckReport()
     H = classes.size
     identity = table[classes.order.algebra.field.one.coords()]
     eye = tuple(tuple(int(i == j) for j in range(H)) for i in range(H))
     report.record("unit_index_is_identity", identity.entries == eye)
     powers = []  # [B(1), B(q), B(q^2), ...] for each prime, as far as the table reaches
-    for h, q in zip(hecke, primes):
-        mats = [identity, table[h.key]]
+    for q in primes:
+        mats = [identity, table[q.generator.coords()]]
         while (key := prime_power_index(q, len(mats)).coords()) in table:
             mats.append(table[key])
         powers.append(mats)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import classical_dimension, hilbert_consistency, span_rank
-from .brandt import HeckePrime, brandt_table, cuspidal_eigenvalues, hecke_property_suite, ramanujan_ok
+from .brandt import brandt_table, cuspidal_eigenvalues, hecke_property_suite, ramanujan_ok
 from .errors import BadPrime, InvalidConfig, QuathetaError
-from .fields import AlgebraicInteger, field, primes_above
+from .fields import AlgebraicInteger, PrimeIdeal, field, primes_above
 from .orders import default_aux_prime, ideal_classes, level_one_order, mass_formula, standard_order
 from .quadmod import gram_and_level, hom_modules
 from .quaternions import construct, verify_ramification
@@ -48,19 +48,16 @@ def _coords(x: AlgebraicInteger) -> list[int]:
     return [x.a, x.b]
 
 
-def _default_hecke(fld, p: int, bound: int) -> list[HeckePrime]:
-    """Primes of norm at most 25, coprime to p, whose index fits under the bound."""
-    out = []
-    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if ell == p or p % ell == 0:
-            continue
-        for P in primes_above(fld, ell):
-            if P.norm > 25:
-                continue
-            h = HeckePrime.of(P)
-            if h.index.trace() <= bound:
-                out.append(h)
-    out.sort(key=lambda h: (h.prime.norm, h.prime.generator.key()))
+def _default_hecke(fld, p: int, bound: int) -> list[PrimeIdeal]:
+    """Primes of norm at most 25, coprime to p, whose index (the generator) fits under the bound."""
+    out = [
+        P
+        for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+        if p % ell
+        for P in primes_above(fld, ell)
+        if P.norm <= 25 and P.generator.trace() <= bound
+    ]
+    out.sort(key=lambda P: (P.norm, P.generator.key()))
     return out
 
 
@@ -107,13 +104,14 @@ def _hom_table(mods, expected_level) -> _Table:
                 det, level = dets[j, i]
             else:
                 det, level = dets[i, j] = gram_and_level(m, expected_level)
-            data.append((i, j, m.normalizer, m.gram, det, level))
+            gram = tuple(tuple((a, 0) for a in row) if rational else tuple(zip(row[::2], row[1::2])) for row in m.gram)
+            data.append((i, j, m.normalizer.coords(), gram, det.coords(), level.coords()))
 
     def build() -> list[dict]:
-        coords: dict[AlgebraicInteger, list[int]] = {}
+        coords: dict[tuple[int, int], list[int]] = {}
 
-        def shared(x: AlgebraicInteger) -> list[int]:
-            return coords.setdefault(x, [x.a, x.b])
+        def shared(x: tuple[int, int]) -> list[int]:
+            return coords.setdefault(x, list(x))
 
         return [
             {
@@ -128,10 +126,7 @@ def _hom_table(mods, expected_level) -> _Table:
         ]
 
     # (i, j) follows from the position, as the table is in row-major order
-    key = tuple(
-        (n.a, n.b, *(c for row in gram for e in row for c in (e.a, e.b)), det.a, det.b, level.a, level.b)
-        for _, _, n, gram, det, level in data
-    )
+    key = tuple((*n, *(c for row in gram for e in row for c in e), *det, *level) for _, _, n, gram, det, level in data)
     return _shared_table(("hom_modules", key), build)
 
 
@@ -180,7 +175,7 @@ def _brandt_blocks(blocks) -> list[dict]:
     ]
 
 
-def _hecke_primes(cfg: RunConfig, fld) -> tuple[list[HeckePrime], list[dict]]:
+def _hecke_primes(cfg: RunConfig, fld) -> tuple[list[PrimeIdeal], list[dict]]:
     """The Hecke primes to check, and the requested ones dropped with the reason.
 
     Raises BadPrime when a requested prime divides the level p.
@@ -195,10 +190,9 @@ def _hecke_primes(cfg: RunConfig, fld) -> tuple[list[HeckePrime], list[dict]]:
     for P in by_generator.values():
         if cfg.mode == "level_p" and P.residue_char == cfg.p:
             raise BadPrime(f"Hecke prime {P!r} divides the level {cfg.p}")
-        h = HeckePrime.of(P)
-        trace = h.index.trace()
+        trace = P.generator.trace()
         if trace <= cfg.bound:
-            hecke.append(h)
+            hecke.append(P)
         else:
             dropped.append({"prime": _coords(P.generator), "reason": f"index trace {trace} > bound {cfg.bound}"})
     return hecke, dropped
@@ -252,8 +246,8 @@ def run(cfg: RunConfig) -> dict:
     table = brandt_table(classes, thetas)
     suite = hecke_property_suite(classes, table, hecke)
     blocks = []
-    for h in hecke:
-        P, M = h.prime, table[h.key]
+    for P in hecke:
+        M = table[P.generator.coords()]
         charpoly = M.charpoly()
         evs = cuspidal_eigenvalues(charpoly, P) if H >= 2 else []
         cuspidal = tuple(
@@ -292,7 +286,7 @@ def run(cfg: RunConfig) -> dict:
             "mode": cfg.mode,
             "bound": cfg.bound,
             "aux_prime": _coords(aux.generator),
-            "hecke": [_coords(h.prime.generator) for h in hecke],
+            "hecke": [_coords(P.generator) for P in hecke],
         },
         "algebra": {
             "a": _coords(alg.a),

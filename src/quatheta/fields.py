@@ -16,8 +16,8 @@ from math import gcd, isqrt
 from .errors import CompositeP, RamifiedPrime, UnsupportedField
 
 # d -> (fundamental unit coordinates, |zeta_L(-1)|).  Every d here has
-# narrow class number one and a fundamental unit of norm -1, which is
-# exactly the certificate totally_positive_units_mod_squares checks.
+# narrow class number one and a fundamental unit of norm -1, which is the
+# certificate `field` checks with totally_positive_units_mod_squares.
 _FIELD_TABLE = {
     1: (None, Fraction(1, 12)),
     2: ((1, 1), Fraction(1, 12)),
@@ -68,17 +68,18 @@ class FieldDescriptor:
 
 @lru_cache(maxsize=None)
 def field(d: int) -> FieldDescriptor:
-    """Construct the field for an allowlisted d; rejects anything else."""
+    """Construct the field for an allowlisted d, its unit certified; rejects anything else."""
     if d not in _FIELD_TABLE:
         raise UnsupportedField(f"d={d} is not in the vetted allowlist {sorted(_FIELD_TABLE)}")
     unit, zeta = _FIELD_TABLE[d]
     if d == 1:
-        return FieldDescriptor(1, 1, 0, 0, 1, None, zeta)
-    if d % 4 == 1:
-        t, n, disc = 1, (1 - d) // 4, d
+        fld = FieldDescriptor(1, 1, 0, 0, 1, None, zeta)
+    elif d % 4 == 1:
+        fld = FieldDescriptor(d, 2, 1, (1 - d) // 4, d, unit, zeta)
     else:
-        t, n, disc = 0, -d, 4 * d
-    return FieldDescriptor(d, 2, t, n, disc, unit, zeta)
+        fld = FieldDescriptor(d, 2, 0, -d, 4 * d, unit, zeta)
+    totally_positive_units_mod_squares(fld)
+    return fld
 
 
 class AlgebraicInteger:
@@ -300,6 +301,17 @@ def field_gcd(x: AlgebraicInteger, y: AlgebraicInteger) -> AlgebraicInteger:
         _, r = euclid_divmod(x, y)
         x, y = y, r
     return canonical_positive_associate(x)
+
+
+def _ideal_generator(fld: FieldDescriptor, hnf: list[list[int]]) -> AlgebraicInteger:
+    """The canonical totally positive generator of a nonzero ideal of O_L, from
+    the integer HNF of its Z-structure: [[alpha]] over Q, [[alpha, beta], [0,
+    delta]] over Q(sqrt d).  Over Q(sqrt d) the Z-basis alpha + beta*omega,
+    delta*omega also generates the ideal over O_L."""
+    if fld.degree == 1:
+        return fld.integer(hnf[0][0])
+    (alpha, beta), (_, delta) = hnf
+    return field_gcd(fld.integer(alpha, beta), fld.integer(0, delta))
 
 
 def totally_positive_units_mod_squares(fld: FieldDescriptor) -> frozenset[AlgebraicInteger]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fields import AlgebraicInteger, exact_div, field_gcd
+from .fields import AlgebraicInteger, _ideal_generator, exact_div
 from .linalg import hnf_int, kernel_int
 from .quaternions import QuaternionAlgebra
 
@@ -40,7 +40,7 @@ def hnf_ol(fld, zrows: list[list[int]]) -> list[list[int]]:
     for r0, r1 in zip(h[::2], h[1::2]):
         c = next(i for i, x in enumerate(r0) if x)
         alpha, beta, delta = r0[c], r0[c + 1], r1[c + 1]
-        g = field_gcd(fld.integer(alpha, beta), fld.integer(0, delta))
+        g = _ideal_generator(fld, [r0[c : c + 2], r1[c : c + 2]])
         m = g.a // alpha
         n = (g.b - m * beta) // delta
         for i, row in enumerate(out):

@@ -4,7 +4,9 @@ the one count of their elements of small norm.
 
 A Hom module between two ideal classes (n = nrd(I_i) nrd(I_j)), a left
 ideal (n = its norm) and an order (n = 1) are all such lattices, and
-`degree_module`'s integrality and unit-content check certifies n.  Every
+`degree_module`'s integrality and primitivity check certifies n.  The form
+stays in the integers of the lattice's `trd_gram`: g integer coordinates for
+each O_L entry, from which the trace forms are read.  Every
 small-norm question (theta coefficients, class keys, isomorphism tests,
 unit weights) asks only how often each value occurs, and is answered by
 `norm_counts`: one short-vector search on the LLL-reduced integer trace form
@@ -17,16 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import LevelMismatch
-from .fields import (
-    AlgebraicInteger,
-    canonical_positive_associate,
-    exact_div,
-    field_gcd,
-    is_associate,
-)
-from .lattices import QuaternionLattice, _scale_row
+from .fields import AlgebraicInteger, _ideal_generator, canonical_positive_associate, exact_div, is_associate
+from .lattices import QuaternionLattice, _scale_row, _z_structure
+from .linalg import hnf_int
 from .shortvec import DEFAULT_CAP, lll_reduce, short_vectors
 
 
@@ -38,7 +36,7 @@ class QuadraticModule:
     normalizer: AlgebraicInteger
     i: int
     j: int
-    gram: tuple  # 4x4 of AlgebraicInteger: B(b_r, b_s) = Trd(b_r conj(b_s)) / n
+    gram: tuple  # 4 integer rows of 4g: B(b_r, b_s) = Trd(b_r conj(b_s)) / n at row r, columns g*s .. g*s+g-1
 
     @property
     def field(self):
@@ -46,11 +44,11 @@ class QuadraticModule:
 
 
 def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: int = 0, j: int = 0) -> QuadraticModule:
-    """The lattice with Q = Nrd/normalizer; raises unless Q is integral with unit content.
+    """The lattice with Q = Nrd/normalizer; raises unless Q is integral and primitive.
 
-    Integrality and unit content together say that the normalizer generates
-    the reduced norm of the lattice, so this is also the norm certificate of
-    every Hom module.
+    Integrality and primitivity (the Q(b_r) and the B(b_r, b_s) span the
+    unit ideal) together say that the normalizer generates the reduced norm
+    of the lattice, so this is also the norm certificate of every Hom module.
     """
     fld = lattice.algebra.field
     g = fld.degree
@@ -61,10 +59,19 @@ def degree_module(lattice: QuaternionLattice, normalizer: AlgebraicInteger, i: i
     N = s.norm()
     if any(c % N for row in rows for c in row):
         raise ValueError("degree form is not integral: wrong normalizer")
-    gram = tuple(tuple(fld.integer(*(c // N for c in row[k : k + g])) for k in range(0, 4 * g, g)) for row in rows)
-    mod = QuadraticModule(lattice, normalizer, i, j, gram)
-    _check_unit_content(mod)
-    return mod
+    gram = tuple(tuple(c // N for c in row) for row in rows)
+    diag = [gram[r][g * r : g * r + g] for r in range(4)]  # B(b_r, b_r) = 2 Q(b_r)
+    if any(c % 2 for v in diag for c in v):
+        raise ValueError("diagonal of the degree form is odd")
+    content = [[c // 2 for c in v] for v in diag]
+    content += [gram[r][g * t : g * t + g] for r in range(4) for t in range(r + 1, 4)]
+    if g == 1:
+        primitive = gcd(*(v[0] for v in content)) == 1
+    else:  # the O_L-ideal they span, by the integer HNF of its Z-structure
+        primitive = hnf_int(_z_structure(fld, content)) == [[1, 0], [0, 1]]
+    if not primitive:
+        raise ValueError("degree form has nontrivial content")
+    return QuadraticModule(lattice, normalizer, i, j, gram)
 
 
 def hom_module(I_i, I_j, i: int = 0, j: int = 0) -> QuadraticModule:
@@ -94,48 +101,31 @@ def hom_modules(ideals) -> list[list[QuadraticModule]]:
     return mods
 
 
-def _check_unit_content(mod: QuadraticModule) -> None:
-    """The ideal generated by all Q values must be trivial (primitivity)."""
-    fld = mod.field
-    coeffs = []
-    for r in range(4):
-        d = mod.gram[r][r]  # Q(b_r) = B(b_r, b_r)/2, in O_L iff both coordinates are even
-        if d.a % 2 or d.b % 2:
-            raise ValueError("diagonal of the degree form is odd")
-        coeffs.append(fld.integer(d.a // 2, d.b // 2))
-    coeffs += [mod.gram[r][s] for r in range(4) for s in range(r + 1, 4)]
-    g = fld.zero
-    for c in coeffs:
-        g = field_gcd(g, c)
-        if g.is_unit():
-            return
-    raise ValueError(f"degree form has nontrivial content ({g!r})")
-
-
 # ---------------------------------------------------------------------------
 # Small-norm search
 
 
-def trace_form(mod: QuadraticModule, weight: AlgebraicInteger | None = None) -> list[list[int]]:
-    """Integer Gram of (x, y) -> Tr_{L/Q}(weight * B(x, y)) on the Z-structure.
+def trace_form(mod: QuadraticModule, shift: int = 0) -> tuple | list[list[int]]:
+    """Integer Gram of (x, y) -> Tr_{L/Q}(omega^shift B(x, y)) on the Z-structure.
 
-    The weight defaults to 1, which gives the positive definite trace form.
+    Shift 0 gives the positive definite trace form, over Q the rows of the
+    Gram itself (read only).
+    On the Z-basis omega^k b_r the entry at (omega^k b_r, omega^l b_s) is
+    Tr(omega^m (a + b omega)) = a tau_m + b tau_{m+1}, for a + b omega =
+    B(b_r, b_s), m = shift + k + l and tau_m = Tr(omega^m).
     """
     fld = mod.field
-    g = fld.degree
-    n = 4 * g
-    rows = [[0] * n for _ in range(n)]
-    w = fld.omega if g == 2 else None
-    for r in range(4):
-        for s in range(4):
-            base = mod.gram[r][s] if weight is None else weight * mod.gram[r][s]
-            if g == 1:
-                rows[r][s] = base.trace()
-            else:
-                rows[2 * r][2 * s] = base.trace()
-                rows[2 * r][2 * s + 1] = (base * w).trace()
-                rows[2 * r + 1][2 * s] = (w * base).trace()
-                rows[2 * r + 1][2 * s + 1] = (w * base * w).trace()
+    if fld.degree == 1:
+        return mod.gram
+    t, n = fld.omega_trace, fld.omega_norm
+    tau = [2, t]  # omega^2 = t omega - n
+    while len(tau) < shift + 4:
+        tau.append(t * tau[-1] - n * tau[-2])
+    rows = []
+    for row in mod.gram:
+        for m in (shift, shift + 1):
+            t0, t1, t2 = tau[m : m + 3]
+            rows.append([c for a, b in zip(row[::2], row[1::2]) for c in (a * t0 + b * t1, a * t1 + b * t2)])
     return rows
 
 
@@ -154,7 +144,7 @@ def norm_counts(mod: QuadraticModule, trace_bound: int, cap: int = DEFAULT_CAP) 
     if fld.degree == 1:
         R, _ = lll_reduce(trace_form(mod))
         return Counter((entry[-1] >> 1, 0) for entry in short_vectors(R, 2 * trace_bound, cap=cap))
-    R, RW = lll_reduce(trace_form(mod), trace_form(mod, fld.omega))
+    R, RW = lll_reduce(trace_form(mod), trace_form(mod, 1))
     found = short_vectors(R, 2 * trace_bound, cap=cap, second=RW)
     t, n = fld.omega_trace, fld.omega_norm
     disc = t * t - 4 * n
@@ -178,24 +168,30 @@ def gram_and_level(mod: QuadraticModule, expected_level: AlgebraicInteger | None
 
     The level is the smallest ideal N such that N * gram^{-1} is integral
     with diagonal in 2*O_L (the classical level of an integral lattice).
-    With gram^{-1} = adj / det, that is N = 2 det / g for g the gcd of 2 det,
-    the adj[r][r] and the 2 adj[r][s] (r != s); all of it in O_L.
+    With gram^{-1} = adj / det, that is N = 2 det / g for g a generator of
+    the ideal of 2 det, the adj[r][r] and the 2 adj[r][s] (r != s); all of
+    it in O_L, on integers over Q.
     Raises LevelMismatch when an expected level is supplied and differs.
     """
+    fld = mod.field
     G = mod.gram
+    if fld.degree == 2:
+        G = [[fld.integer(a, b) for a, b in zip(row[::2], row[1::2])] for row in G]
     # the Gram is symmetric, so adj[r][s] = adj[s][r] is the (r, s) cofactor
     adj = {(r, s): _cofactor(G, r, s) for r in range(4) for s in range(r, 4)}
     det = sum(G[0][s] * adj[0, s] for s in range(4))
-    g = 2 * det
-    for (r, s), c in adj.items():
-        g = field_gcd(g, c if r == s else 2 * c)
+    content = [2 * det] + [c if r == s else 2 * c for (r, s), c in adj.items()]
+    if fld.degree == 1:
+        det, g = fld.integer(det), fld.integer(gcd(*content))
+    else:
+        g = _ideal_generator(fld, hnf_int(_z_structure(fld, [c.coords() for c in content])))
     level = canonical_positive_associate(exact_div(2 * det, g))
     if expected_level is not None and not is_associate(level, expected_level):
         raise LevelMismatch(f"lattice level {level!r}, expected ({expected_level!r})")
     return det, level
 
 
-def _cofactor(G, r: int, s: int) -> AlgebraicInteger:
+def _cofactor(G, r: int, s: int):
     """(-1)^(r+s) times the 3x3 minor of G without row r and column s."""
     minor = [[x for t, x in enumerate(row) if t != s] for q, row in enumerate(G) if q != r]
     (a, b, c), (d, e, f), (g, h, k) = minor

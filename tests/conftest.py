@@ -16,7 +16,7 @@ def brandt_charpolys():
     out = {}
     for d, p, mode, bound in sorted(REPORT_DIGESTS) + [(1, 191, "level_p", 40)]:
         blocks = run(RunConfig(d=d, p=p, mode=mode, bound=bound))["brandt"]
-        hecke = [h.prime for h in _default_hecke(field(d), p, bound)]
+        hecke = _default_hecke(field(d), p, bound)
         assert [b["prime"] for b in blocks] == [list(P.generator.coords()) for P in hecke]
         out[d, p, mode, bound] = [(b["charpoly"], P) for b, P in zip(blocks, hecke)]
     return out

@@ -144,7 +144,7 @@ def test_criterion_6_hecke_property_suite():
         cs = _classes(d, p)
         thetas = theta_matrix(hom_modules(cs.ideals), bound)
         primes = _default_hecke(field(d), p, bound)
-        assert all(h.prime.norm <= 25 for h in primes)
+        assert all(P.norm <= 25 for P in primes)
         rep = hecke_property_suite(cs, brandt_table(cs, thetas), primes)
         _report(
             f"criterion 6: hecke suite (d={d}, p={p})",

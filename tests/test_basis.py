@@ -10,15 +10,17 @@ from quatheta.basis import (
     hilbert_consistency,
     span_rank,
 )
-from quatheta.brandt import BrandtMatrix, BrandtTable, HeckePrime, brandt_table
+from quatheta.brandt import BrandtMatrix, BrandtTable, brandt_table
 from quatheta.errors import CoefficientOutOfRange
 from quatheta.fields import field, primes_above
+from quatheta.linalg import rank_and_pivots_int
 from quatheta.orders import ideal_classes, level_one_order, standard_order
 from quatheta.quadmod import hom_modules
 from quatheta.quaternions import construct
 from quatheta.theta import theta_matrix
 
 from oracles import classical_genus_table
+from test_cli import REPORT_DIGESTS
 
 
 def _setup(d, p, bound, mode="level_p"):
@@ -66,22 +68,37 @@ def test_rank_monotone_and_stabilizes():
     assert ranks[-1] == ranks[-2] == 2
 
 
+@pytest.mark.parametrize(
+    "d,p,mode,bound",
+    sorted(REPORT_DIGESTS) + [(1, 67, "level_p", 8), (1, 191, "level_p", 8), (5, 11, "level_p", 6)],
+)
+def test_stable_flag_is_the_truncated_rank(d, p, mode, bound):
+    # the rank of the columns of trace <= bound - 4, by a second elimination
+    cs, th = _setup(d, p, bound, mode)
+    rows = difference_rows(th)
+    span = span_rank(th, None, rows)
+    cut = [k for k, nu in enumerate(th[0][0].nus) if nu.trace() <= bound - 4]
+    rank_small = rank_and_pivots_int([[r[k] for k in cut] for r in rows])[0] if cut and rows else 0
+    assert span.stable == (rank_small == span.rank)
+    assert span.stable == ((d, p, bound) not in {(1, 67, 8), (1, 191, 8), (5, 11, 6)})
+
+
 def test_hilbert_consistency_sqrt5_eleven():
     cs, th = _setup(5, 11, 10)
     table = brandt_table(cs, th)
-    primes = [HeckePrime.of(primes_above(field(5), q)[0]) for q in (2, 3)]
+    primes = [primes_above(field(5), q)[0] for q in (2, 3)]
     span, checks = hilbert_consistency(th, table, primes)
     assert span.rank == cs.size - 1  # no coincident theta rows here
     assert span.stable
     assert checks.all_ok, checks.failures()
     # 7 is inert in Q(sqrt5): its index 7 has trace 14, past the bound 10
     with pytest.raises(CoefficientOutOfRange):
-        hilbert_consistency(th, table, [HeckePrime.of(primes_above(field(5), 7)[0])])
+        hilbert_consistency(th, table, [primes_above(field(5), 7)[0]])
 
 
 def test_hilbert_level_two_single_class():
     cs, th = _setup(5, 2, 8)
-    span, checks = hilbert_consistency(th, brandt_table(cs, th), [HeckePrime.of(primes_above(field(5), 3)[0])])
+    span, checks = hilbert_consistency(th, brandt_table(cs, th), [primes_above(field(5), 3)[0]])
     assert span.class_count == 1
     assert span.rank == 0
     assert checks.all_ok
@@ -111,6 +128,6 @@ def test_hecke_stability_exact():
     cs, th = _setup(5, 11, 10)
     rows = difference_rows(th)
     table = brandt_table(cs, th)
-    P2 = HeckePrime.of(primes_above(field(5), 2)[0])
+    P2 = primes_above(field(5), 2)[0]
     rep = hecke_stability(th, table, [P2], rows, span_rank(th, None, rows).rank)
     assert rep.all_ok, rep.failures()

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from quatheta.brandt import (
-    HeckePrime,
     brandt_table,
     cuspidal_eigenvalues,
     hecke_property_suite,
@@ -112,7 +111,7 @@ def test_quadratic_eigenvalue_pair_at_23():
 def test_hecke_suite_rational():
     for p in (11, 23):
         cs, _, table = _setup(1, p, 26)
-        primes = [HeckePrime.of(primes_above(field(1), q)[0]) for q in (2, 3, 5, 7, 13) if q != p]
+        primes = [primes_above(field(1), q)[0] for q in (2, 3, 5, 7, 13) if q != p]
         rep = hecke_property_suite(cs, table, primes)
         assert rep.all_ok, rep.failures()
 
@@ -122,7 +121,7 @@ def test_single_class_brandt_is_sigma():
     cs, _, table = _setup(1, 2, 8)
     for q in (3, 5, 7):
         assert table[(q, 0)].entries == ((q + 1,),)
-    rep = hecke_property_suite(cs, table, [HeckePrime.of(primes_above(field(1), q)[0]) for q in (3, 5, 7)])
+    rep = hecke_property_suite(cs, table, [primes_above(field(1), q)[0] for q in (3, 5, 7)])
     assert rep.all_ok, rep.failures()
 
 
@@ -130,7 +129,7 @@ def test_level_one_single_class_quadratic():
     cs, _, table = _setup(5, 2, 8, mode="level_one")
     P3 = primes_above(field(5), 3)[0]
     assert table[prime_power_index(P3, 1).coords()].entries == ((10,),)  # N(3) + 1
-    rep = hecke_property_suite(cs, table, [HeckePrime.of(P3)])
+    rep = hecke_property_suite(cs, table, [P3])
     assert rep.all_ok, rep.failures()
 
 
@@ -190,7 +189,7 @@ def test_charpoly_matches_sympy_on_brandt_matrices(d, p, bound):
 
     _, _, table = _setup(d, p, bound)
     checked = 0
-    for P in (h.prime for h in _default_hecke(field(d), p, bound)):
+    for P in _default_hecke(field(d), p, bound):
         k = 1
         while prime_power_index(P, k).coords() in table:
             M = table[prime_power_index(P, k).coords()]

@@ -3,11 +3,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatheta.errors import RamifiedPrime, UnsupportedField
 from quatheta.fields import (
+    _FIELD_TABLE,
+    _ideal_generator,
     canonical_positive_associate,
     divides,
     enumerate_totally_positive,
@@ -16,6 +18,7 @@ from quatheta.fields import (
     field,
     field_gcd,
     is_associate,
+    is_prime,
     prime_splitting,
     primes_above,
     totally_positive_units_mod_squares,
@@ -140,6 +143,23 @@ def test_prime_splitting_two_in_sqrt17():
     assert all(g.norm() == 2 for _, g in split)
 
 
+def test_field_runs_the_unit_certificate(monkeypatch):
+    # a tabulated unit of norm +1 (3 + 2 sqrt2) is refused when the field is
+    # built; the uncached builder keeps the shared descriptors untouched
+    monkeypatch.setitem(_FIELD_TABLE, 2, ((3, 2), _FIELD_TABLE[2][1]))
+    with pytest.raises(UnsupportedField):
+        field.__wrapped__(2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 17])
+def test_prime_generators_are_canonical(d):
+    # so a prime's generator is the index of its Brandt matrix
+    F = field(d)
+    for ell in filter(is_prime, range(200)):
+        for P in primes_above(F, ell):
+            assert canonical_positive_associate(P.generator) == P.generator
+
+
 def test_canonical_generator_deterministic():
     F = field(5)
     sqrt5 = F.integer(-1, 2)
@@ -173,6 +193,28 @@ def test_gcd_and_xgcd():
                 assert (fe_of(x) / fe_of(g)).is_integral()
             if not y.is_zero():
                 assert (fe_of(y) / fe_of(g)).is_integral()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([1, 5]),
+    xs=st.lists(
+        st.one_of(
+            st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1)]),  # zero and units of Z[omega]
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_ideal_generator_is_the_gcd_fold(d, xs):
+    F = field(d)
+    elems = [F.integer(a, b if d > 1 else 0) for a, b in xs]
+    assume(not all(x.is_zero() for x in elems))
+    fold = F.zero
+    for x in elems:
+        fold = field_gcd(fold, x)
+    assert _ideal_generator(F, _ideal_hnf(F, *elems)) == fold
 
 
 def _euclid_reference(x, y):

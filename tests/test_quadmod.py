@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatheta.errors import LevelMismatch
-from quatheta.fields import field, field_gcd, is_associate
+from quatheta.fields import field, field_gcd, is_associate, primes_above
+from quatheta.lattices import QuaternionLattice, _scale_row
 from quatheta.orders import ideal_classes, level_one_order, standard_order, unit_weight
-from quatheta.quadmod import degree_module, gram_and_level, hom_module, hom_modules
+from quatheta.quadmod import degree_module, gram_and_level, hom_module, hom_modules, trace_form
 from quatheta.quaternions import construct
 from quatheta.theta import theta
 
@@ -22,6 +23,17 @@ def _classes(d, p, mode="level_p"):
     alg = construct(field(d), p)
     O = standard_order(alg) if mode == "level_p" else level_one_order(alg)
     return ideal_classes(O)
+
+
+def _entries(F, gram):
+    """The 4x4 AlgebraicInteger Gram of a module's integer rows."""
+    g = F.degree
+    return tuple(tuple(F.integer(*row[k : k + g]) for k in range(0, 4 * g, g)) for row in gram)
+
+
+def _rows(F, G):
+    """The integer rows of a 4x4 AlgebraicInteger Gram, the inverse of `_entries`."""
+    return tuple(tuple(c for e in row for c in e.coords()[: F.degree]) for row in G)
 
 
 def test_diagonal_module_is_order_form():
@@ -58,15 +70,18 @@ def test_gram_and_level_matches_inverse_reference(d, data):
         tuple(sum((A[k][r] * A[k][s] for k in range(4)), F.zero) + (D[r] if r == s else 0) for s in range(4))
         for r in range(4)
     )
-    assert gram_and_level(SimpleNamespace(gram=G)) == gram_level_by_inverse(F, G)
+    assert gram_and_level(SimpleNamespace(gram=_rows(F, G), field=F)) == gram_level_by_inverse(F, G)
 
 
-@pytest.mark.parametrize("d,p", [(1, 67), (5, 11)])
+@pytest.mark.parametrize("d,p", [(1, 67), (5, 11), (2, 7), (13, 3), (17, 5)])
 def test_gram_and_level_matches_inverse_reference_on_hom_modules(d, p):
     F = field(d)
     for row in hom_modules(_classes(d, p).ideals):
         for m in row:
-            assert gram_and_level(m, F.integer(p)) == gram_level_by_inverse(F, m.gram)
+            # the Gram is 4 rows of 4g plain integers, g per O_L entry
+            assert [len(r) for r in m.gram] == [4 * F.degree] * 4
+            assert all(type(c) is int for r in m.gram for c in r)
+            assert gram_and_level(m, F.integer(p)) == gram_level_by_inverse(F, _entries(F, m.gram))
 
 
 def _determinant_norm(K, order_disc):
@@ -77,7 +92,7 @@ def _determinant_norm(K, order_disc):
     return t
 
 
-@pytest.mark.parametrize("d,p", [(1, 67), (5, 11), (2, 7)])
+@pytest.mark.parametrize("d,p", [(1, 67), (5, 11), (2, 7), (13, 3)])
 def test_hom_normalizer_is_the_certified_lattice_norm(d, p):
     """The normalizer nrd(I_i) nrd(I_j) of conj(I_j) I_i, built here through
     the conjugate lattice, has the absolute norm its discriminant certifies;
@@ -92,6 +107,20 @@ def test_hom_normalizer_is_the_certified_lattice_norm(d, p):
             assert abs(m.normalizer.norm()) == _determinant_norm(K, disc)
             with pytest.raises(ValueError):
                 degree_module(K, 2 * m.normalizer)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 13])
+def test_degree_module_refuses_content(d):
+    # pi*O with normalizer pi is integral, Nrd(pi x)/pi = pi Nrd(x), but its
+    # content is the ideal (pi); with pi^2 it is the order's form on another basis
+    F = field(d)
+    O = standard_order(construct(F, 3 if d == 1 else 7))
+    pi = primes_above(F, 2 if d == 5 else 3)[0].generator
+    L = QuaternionLattice.from_generators(O.algebra, [_scale_row(F, r, pi) for r in O.lattice.rows], O.lattice.den)
+    assert gram_and_level(degree_module(L, pi * pi))[1] == gram_and_level(degree_module(O.lattice, F.one))[1]
+    for wrong in (pi, F.one):
+        with pytest.raises(ValueError, match="content"):
+            degree_module(L, wrong)
 
 
 def test_unit_value_detects_isomorphism():
@@ -127,9 +156,10 @@ def test_bilinear_identities():
     cs = _classes(1, 11)
     m = hom_module(cs.ideals[0], cs.ideals[1], 0, 1)
     F = field(1)
+    G = _entries(F, m.gram)
 
     def bilinear(u, v):  # B(u, v) = sum u_r v_s gram[r][s] on Z-coordinates
-        return sum((u[r] * v[s] * m.gram[r][s] for r in range(4) for s in range(4)), F.zero)
+        return sum((u[r] * v[s] * G[r][s] for r in range(4) for s in range(4)), F.zero)
 
     for _ in range(40):
         c1 = [rng.randrange(-3, 4) for _ in range(4)]
@@ -208,3 +238,23 @@ def test_unit_rescaling_permutes_representations():
         key = canonical_positive_associate(nu_scaled).coords()
         other[key] = other.get(key, 0) + 2
     assert rescaled == other
+
+
+@pytest.mark.parametrize("d,p", [(1, 11), (2, 7), (5, 11), (13, 3), (17, 5)])
+def test_trace_form_matches_algebraic_expansion(d, p):
+    # entry (omega^k b_r, omega^l b_s) of the shift-m trace form is
+    # Tr(omega^(m+k+l) B(b_r, b_s)), expanded here in O_L arithmetic
+    F = field(d)
+    cs = _classes(d, p)
+    m = hom_module(cs.ideals[0], cs.ideals[-1], 0, cs.size - 1)
+    G = _entries(F, m.gram)
+    if F.degree == 1:
+        assert [list(r) for r in trace_form(m)] == [[e.trace() for e in row] for row in G]
+        return
+    for shift in (0, 1):
+        T = trace_form(m, shift)
+        for r in range(4):
+            for s in range(4):
+                for k in (0, 1):
+                    for l in (0, 1):
+                        assert T[2 * r + k][2 * s + l] == (F.omega ** (shift + k + l) * G[r][s]).trace()

@@ -24,9 +24,10 @@ def test_trace_form_rational_case_doubles_gram():
     cs = _classes(1, 11)
     m = hom_module(cs.ideals[0], cs.ideals[0], 0, 0)
     T = trace_form(m)
+    G = [[field(1).integer(c) for c in row] for row in m.gram]
     for r in range(4):
         for s in range(4):
-            assert T[r][s] == m.gram[r][s].a  # over Q: Tr(B) = B = 2Q-gram
+            assert T[r][s] == G[r][s].a  # over Q: Tr(B) = B = 2Q-gram
 
 
 def test_trace_form_positive_definite():
